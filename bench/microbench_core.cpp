@@ -48,11 +48,11 @@ BENCHMARK(BM_RoundRobinArbiter)->Arg(5)->Arg(8)->Arg(16);
 
 void BM_SeparableAllocator(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  noc::SeparableAllocator alloc(n, n);
+  noc::SeparableAllocator alloc(n, 1, n);
   for (auto _ : state) {
     for (int a = 0; a < n; a += 2) {
-      alloc.add_request(a, (a + 1) % n);
-      alloc.add_request(a, (a + 3) % n);
+      alloc.add_request(a, 0, (std::uint64_t{1} << ((a + 1) % n)) |
+                                  (std::uint64_t{1} << ((a + 3) % n)));
     }
     benchmark::DoNotOptimize(alloc.allocate().size());
   }

@@ -79,29 +79,33 @@ class DelayLine final : public Channel<T> {
     NOCDVFS_ASSERT(!pushed_this_cycle_, "DelayLine: two pushes in one cycle");
     std::size_t slot = now_ + static_cast<std::size_t>(latency_);
     if (slot >= slots_.size()) slot -= slots_.size();
-    NOCDVFS_ASSERT(!slots_[slot].has_value(), "DelayLine: overwriting undelivered item");
-    slots_[slot] = std::move(item);
+    NOCDVFS_ASSERT(!slots_[slot].valid, "DelayLine: overwriting undelivered item");
+    slots_[slot].item = std::move(item);
+    slots_[slot].valid = true;
     pushed_this_cycle_ = true;
     ++occupancy_;
   }
 
   std::optional<T> pop() noexcept override {
-    std::optional<T> out;
-    slots_[now_].swap(out);
-    if (out.has_value()) --occupancy_;
-    return out;
+    Slot& s = slots_[now_];
+    if (!s.valid) return std::nullopt;
+    s.valid = false;
+    --occupancy_;
+    return std::move(s.item);
   }
-
-  /// Peek without consuming (tests/invariant checks).
-  const std::optional<T>& due() const noexcept { return slots_[now_]; }
 
   /// O(1): maintained at push/pop, not a slot scan — it runs in every
   /// quiescence check of the reader's node.
   std::size_t in_flight() const noexcept override { return occupancy_; }
 
  private:
+  struct Slot {
+    T item{};
+    bool valid = false;
+  };
+
   int latency_;
-  std::vector<std::optional<T>> slots_;
+  std::vector<Slot> slots_;
   std::size_t now_ = 0;
   std::size_t occupancy_ = 0;
   bool pushed_this_cycle_ = false;

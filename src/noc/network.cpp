@@ -79,7 +79,6 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
   RouterConfig rcfg;
   rcfg.num_vcs = cfg.num_vcs;
   rcfg.vc_buffer_depth = cfg.vc_buffer_depth;
-  rcfg.routing = cfg.routing;
 
   NiConfig ncfg;
   ncfg.num_vcs = cfg.num_vcs;
@@ -87,13 +86,13 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
 
   routers_.reserve(static_cast<std::size_t>(num_r));
   for (int r = 0; r < num_r; ++r) {
-    routers_.push_back(std::make_unique<Router>(r, topol_->radix(r), rcfg));
+    routers_.push_back(std::make_unique<Router>(r, topol_->radix(r), rcfg, packets_));
     routers_.back()->set_routing_engine(engine_.get());
     routers_.back()->set_first_local_port(topol_->num_net_ports(r));
   }
   nis_.reserve(static_cast<std::size_t>(n));
   for (NodeId id = 0; id < n; ++id) {
-    nis_.push_back(std::make_unique<NetworkInterface>(id, ncfg, &delivered_));
+    nis_.push_back(std::make_unique<NetworkInterface>(id, ncfg, &delivered_, &packets_));
     nis_.back()->set_wake_id(topol_->router_of(id));
     nis_.back()->set_packet_id_source(&next_packet_id_);
   }

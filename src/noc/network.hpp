@@ -41,6 +41,7 @@
 
 #include "noc/channel.hpp"
 #include "noc/network_interface.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
@@ -175,6 +176,8 @@ class Network : public WakeSink {
   }
   /// Direct router access by router id (`0 <= r < num_routers()`).
   const Router& router_at(int r) const { return *routers_.at(static_cast<std::size_t>(r)); }
+  /// Packet-invariant fields of every packet with flits in the network.
+  const PacketTable& packet_table() const noexcept { return packets_; }
 
   // --- fault & routing introspection ---
   const topo::RoutingEngine& routing_engine() const noexcept { return *engine_; }
@@ -319,6 +322,7 @@ class Network : public WakeSink {
   ReachabilityFn reachable_fn_;  ///< NI enqueue-time delivery check
   bool fault_pending_ = false;   ///< unfired fault events remain
 
+  PacketTable packets_;  ///< shared by every router and NI of this network
   std::vector<std::unique_ptr<Router>> routers_;  ///< by router id
   std::vector<std::unique_ptr<NetworkInterface>> nis_;  ///< by node id
   // deques: stable element addresses across push_back during wiring

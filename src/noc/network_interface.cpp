@@ -7,13 +7,17 @@
 namespace nocdvfs::noc {
 
 NetworkInterface::NetworkInterface(NodeId node, const NiConfig& cfg,
-                                   std::vector<PacketRecord>* delivered_sink)
-    : node_(node), cfg_(cfg), delivered_sink_(delivered_sink), wake_id_(node) {
+                                   std::vector<PacketRecord>* delivered_sink,
+                                   PacketTable* packets)
+    : node_(node), cfg_(cfg), delivered_sink_(delivered_sink), packets_(packets), wake_id_(node) {
   if (cfg.num_vcs < 1 || cfg.vc_buffer_depth < 1) {
     throw std::invalid_argument("NetworkInterface: degenerate VC configuration");
   }
   if (delivered_sink == nullptr) {
     throw std::invalid_argument("NetworkInterface: delivered sink must not be null");
+  }
+  if (packets == nullptr) {
+    throw std::invalid_argument("NetworkInterface: packet table must not be null");
   }
   credits_.assign(static_cast<std::size_t>(cfg.num_vcs), cfg.vc_buffer_depth);
   assembly_.assign(static_cast<std::size_t>(cfg.num_vcs), Reassembly{});
@@ -85,10 +89,10 @@ void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_
     if (flit->head) {
       NOCDVFS_ASSERT(!asm_state.open, "head flit while a packet is open on this VC");
       asm_state.open = true;
-      asm_state.packet_id = flit->packet_id;
+      asm_state.slot = flit->slot;
       asm_state.received = 0;
     }
-    NOCDVFS_ASSERT(asm_state.open && asm_state.packet_id == flit->packet_id,
+    NOCDVFS_ASSERT(asm_state.open && asm_state.slot == flit->slot,
                    "flit interleaving within a VC");
     NOCDVFS_ASSERT(flit->flit_index == asm_state.received, "out-of-order flit within a VC");
     ++asm_state.received;
@@ -97,22 +101,24 @@ void NetworkInterface::receive_phase(common::Picoseconds now, std::uint64_t noc_
     eject_credit_out_->push(Credit{flit->vc});
 
     if (flit->tail) {
-      NOCDVFS_ASSERT(asm_state.received == flit->packet_size, "tail before all flits arrived");
+      const PacketInfo& pkt = (*packets_)[flit->slot];
+      NOCDVFS_ASSERT(asm_state.received == pkt.size, "tail before all flits arrived");
       asm_state.open = false;
       ++packets_ejected_;
       PacketRecord rec;
-      rec.packet_id = flit->packet_id;
-      rec.src = flit->src;
-      rec.dst = flit->dst;
-      rec.size = flit->packet_size;
+      rec.packet_id = pkt.id;
+      rec.src = pkt.src;
+      rec.dst = pkt.dst;
+      rec.size = pkt.size;
       rec.hops = flit->hops;
-      rec.traffic_class = flit->traffic_class;
-      rec.create_time_ps = flit->create_time_ps;
+      rec.traffic_class = pkt.traffic_class;
+      rec.create_time_ps = pkt.create_time_ps;
       rec.eject_time_ps = now;
-      rec.create_noc_cycle = flit->create_noc_cycle;
+      rec.create_noc_cycle = pkt.create_noc_cycle;
       rec.eject_noc_cycle = noc_cycle;
       delivered_sink_->push_back(rec);
-      if (flight_recorder_) flight_recorder_->on_eject(flit->packet_id);
+      if (flight_recorder_) flight_recorder_->on_eject(pkt.id);
+      packets_->release(flit->slot);
     }
   }
 }
@@ -128,6 +134,10 @@ void NetworkInterface::inject_phase() {
         sending_ = true;
         current_ = source_queue_.front();
         source_queue_.pop_front();
+        current_slot_ = packets_->acquire(PacketInfo{current_.id, current_.create_time_ps,
+                                                     current_.create_noc_cycle, node_,
+                                                     current_.dst, current_.size,
+                                                     current_.traffic_class});
         active_vc_ = v;
         next_flit_index_ = 0;
         vc_rr_ptr_ = (v + 1) % v_count;
@@ -140,24 +150,17 @@ void NetworkInterface::inject_phase() {
   if (credit <= 0) return;
 
   Flit f;
-  f.packet_id = current_.id;
-  f.src = node_;
-  f.dst = current_.dst;
+  f.slot = current_slot_;
   f.flit_index = next_flit_index_;
-  f.packet_size = current_.size;
   f.head = (next_flit_index_ == 0);
   f.tail = (next_flit_index_ + 1 == current_.size);
-  f.create_time_ps = current_.create_time_ps;
-  f.create_noc_cycle = current_.create_noc_cycle;
   f.vc = static_cast<std::uint8_t>(active_vc_);
-  f.hops = 0;
-  f.traffic_class = current_.traffic_class;
 
   inject_out_->push(f);
   if (flight_recorder_ && f.head) {
-    flight_recorder_->on_inject(f.packet_id, node_, f.dst, current_.size,
-                                f.traffic_class,
-                                static_cast<std::uint64_t>(f.create_time_ps));
+    flight_recorder_->on_inject(current_.id, node_, current_.dst, current_.size,
+                                current_.traffic_class,
+                                static_cast<std::uint64_t>(current_.create_time_ps));
   }
   --credit;
   ++flits_injected_;

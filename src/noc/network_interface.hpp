@@ -14,6 +14,10 @@
 /// reassembles packets per VC, returns credits, and emits a PacketRecord on
 /// each tail flit — the raw measurement both the metrics layer and the DMSD
 /// controller consume (end-to-end delay including source queueing).
+///
+/// Packet-invariant fields travel in the network's PacketTable: the
+/// injecting NI acquires the packet's slot when it starts serializing it,
+/// and the ejecting NI reads the record and releases the slot at the tail.
 
 #include <deque>
 #include <functional>
@@ -21,6 +25,7 @@
 
 #include "common/units.hpp"
 #include "noc/channel.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/types.hpp"
 #include "power/activity.hpp"
 
@@ -52,7 +57,8 @@ using ReachabilityFn = std::function<bool(NodeId src, NodeId dst)>;
 
 class NetworkInterface {
  public:
-  NetworkInterface(NodeId node, const NiConfig& cfg, std::vector<PacketRecord>* delivered_sink);
+  NetworkInterface(NodeId node, const NiConfig& cfg, std::vector<PacketRecord>* delivered_sink,
+                   PacketTable* packets);
 
   NetworkInterface(const NetworkInterface&) = delete;
   NetworkInterface& operator=(const NetworkInterface&) = delete;
@@ -123,6 +129,12 @@ class NetworkInterface {
   std::uint64_t packets_ejected() const noexcept { return packets_ejected_; }
   /// Flits still waiting in (or partially drained from) the source queue.
   std::uint64_t source_backlog_flits() const noexcept;
+  /// Packets waiting in the source queue (not yet started) and the bytes
+  /// their queue entries occupy.
+  std::size_t source_queue_packets() const noexcept { return source_queue_.size(); }
+  std::size_t source_queue_bytes() const noexcept {
+    return source_queue_.size() * sizeof(PendingPacket);
+  }
   /// Packets/flits refused at enqueue time because no route survives the
   /// active fault set (counted generated too — conservation keeps closing).
   std::uint64_t dropped_packets() const noexcept { return dropped_packets_; }
@@ -143,7 +155,7 @@ class NetworkInterface {
     std::uint64_t create_noc_cycle = 0;
   };
   struct Reassembly {
-    PacketId packet_id = 0;
+    std::uint32_t slot = 0;  ///< PacketTable slot of the open packet
     std::uint16_t received = 0;
     bool open = false;
   };
@@ -151,6 +163,7 @@ class NetworkInterface {
   NodeId node_;
   NiConfig cfg_;
   std::vector<PacketRecord>* delivered_sink_;
+  PacketTable* packets_;
   const InjectionObserver* injection_observer_ = nullptr;
   const ReachabilityFn* reachable_ = nullptr;
   std::uint64_t* packet_id_source_ = nullptr;
@@ -170,6 +183,7 @@ class NetworkInterface {
 
   bool sending_ = false;
   PendingPacket current_{};
+  std::uint32_t current_slot_ = 0;  ///< PacketTable slot of current_
   int active_vc_ = -1;
   std::uint16_t next_flit_index_ = 0;
 

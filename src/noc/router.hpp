@@ -4,8 +4,7 @@
 /// Input-queued virtual-channel router with the canonical 4-stage pipeline:
 ///
 ///   RC  — a head flit reaching the front of an Idle VC computes its output
-///         port (and the VC-class mask VA may use) via the routing engine,
-///         or plain dimension-ordered routing in the legacy mesh setup;
+///         port (and the VC-class mask VA may use) via the routing engine;
 ///   VA  — the VC requests an output VC (within its class mask) through a
 ///         separable input-first allocator; body flits inherit the grant;
 ///   SA  — per-cycle switch allocation: one flit per input port and per
@@ -23,22 +22,27 @@
 /// the reverse credit channel.
 ///
 /// The radix is dynamic (up to kMaxPorts) so one implementation serves
-/// mesh, torus, concentrated-mesh and dragonfly routers; the storage stays
-/// in fixed arrays and the mesh instantiation (radix 5) executes the exact
-/// historical sequence of operations. Under an active FaultModel a VC can
-/// enter the Drop state: its packet has no surviving route, and the flits
-/// drain out of the buffer (one per port per cycle, credits returned
-/// upstream) into the dropped-flit counters instead of the crossbar.
+/// mesh, torus, concentrated-mesh and dragonfly routers. Under an active
+/// FaultModel a VC can enter the Drop state: its packet has no surviving
+/// route, and the flits drain out of the buffer (one per port per cycle,
+/// credits returned upstream) into the dropped-flit counters instead of
+/// the crossbar.
+///
+/// Hot-path layout: all per-VC state lives in one slab per router, indexed
+/// `p * num_vcs + v` — input-VC metadata, the flit rings (`vc_buffer_depth`
+/// 16-byte flits per VC) and the output-VC credit/owner records — and every
+/// pipeline stage walks per-input-port VC bitmasks that are updated at each
+/// state transition instead of scanning VC states. `check_invariants()`
+/// recomputes every mask and counter from the slab.
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "common/ring_buffer.hpp"
 #include "noc/allocator.hpp"
 #include "noc/channel.hpp"
-#include "noc/routing.hpp"
-#include "noc/topology.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/types.hpp"
 #include "power/activity.hpp"
 #include "topo/routing_engine.hpp"
@@ -52,7 +56,6 @@ namespace nocdvfs::noc {
 struct RouterConfig {
   int num_vcs = 8;
   int vc_buffer_depth = 4;  ///< flits per VC FIFO
-  RoutingAlgo routing = RoutingAlgo::XY;
 };
 
 enum class VcStateKind : std::uint8_t {
@@ -88,13 +91,10 @@ struct RouterStallCounters {
 
 class Router : public topo::RouterView {
  public:
-  /// Legacy mesh form: radix 5, port peers and XY/YX routes derived from
-  /// the mesh directly (no routing engine). Unit tests build routers this
-  /// way; Network uses the generic form below.
-  Router(NodeId id, const MeshTopology& topo, const RouterConfig& cfg);
-  /// Generic form: `radix` ports, initially all self-peered and routed by a
-  /// required routing engine (set_routing_engine before the first cycle).
-  Router(NodeId id, int radix, const RouterConfig& cfg);
+  /// `radix` ports, initially all self-peered. Flits refer to `packets` for
+  /// their packet-invariant fields; a routing engine is required
+  /// (set_routing_engine before the first cycle).
+  Router(NodeId id, int radix, const RouterConfig& cfg, PacketTable& packets);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -122,9 +122,9 @@ class Router : public topo::RouterView {
     port_peer_[static_cast<std::size_t>(port)] = tile;
   }
   /// First NI-local port index (ports below it are network links); splits
-  /// the local/link hop activity counters. The legacy mesh form sets 4.
+  /// the local/link hop activity counters.
   void set_first_local_port(int port) noexcept { first_local_port_ = port; }
-  /// Route via `engine` instead of the legacy mesh DOR path.
+  /// The route computation every head flit goes through.
   void set_routing_engine(const topo::RoutingEngine* engine);
   /// Fault mode: every traversed flit is reported to the engine (up*/down*
   /// phase tracking). Toggled by Network on fault epochs.
@@ -160,13 +160,16 @@ class Router : public topo::RouterView {
 
   // --- introspection for tests and invariant checks ---
   int buffered_flits() const noexcept;
-  /// O(1) occupancy snapshot (the maintained counter behind the scan
+  /// O(1) occupancy snapshot (the maintained counter behind the stage
   /// early-outs); sampled every cycle by the occupancy-based controller.
   int buffered_now() const noexcept { return buffered_total_; }
   /// Flit slots across the wired input ports (occupancy denominator).
   int buffer_capacity() const noexcept {
     return static_cast<int>(wired_in_.size()) * cfg_.num_vcs * cfg_.vc_buffer_depth;
   }
+  /// Heap bytes of this router's slab (VC metadata, flit rings, output-VC
+  /// records) — all of its per-VC storage, allocated once at construction.
+  std::size_t slab_bytes() const noexcept { return slab_bytes_; }
   int output_credits(PortDir port, int vc) const;
   bool output_vc_allocated(PortDir port, int vc) const;
   VcStateKind input_vc_state(PortDir port, int vc) const;
@@ -184,33 +187,46 @@ class Router : public topo::RouterView {
     return port_flits_tx_[static_cast<std::size_t>(port)];
   }
 
+  /// Recompute every incrementally maintained mask and counter by a full
+  /// scan of the VC slab and throw common::InvariantViolation on the first
+  /// mismatch (independent of NOCDVFS_ENABLE_ASSERTS). Also checks VC
+  /// ownership symmetry and credit bounds. For tests; O(ports · VCs).
+  void check_invariants() const;
+
  private:
+  /// Input-VC metadata (slab region 1).
   struct InputVc {
-    explicit InputVc(int depth) : buffer(static_cast<std::size_t>(depth)) {}
-    common::RingBuffer<Flit> buffer;
-    VcStateKind state = VcStateKind::Idle;
-    int out_port = -1;
-    int out_vc = -1;
     std::uint64_t vc_mask = ~std::uint64_t{0};  ///< VCs VA may claim (RC decision)
-    int wait_cycles = 0;  ///< VA starvation counter (adaptive escape re-route)
+    std::int32_t wait_cycles = 0;  ///< VA starvation counter (adaptive escape re-route)
+    std::uint16_t head = 0;        ///< ring index of the front flit
+    std::uint16_t size = 0;        ///< buffered flits
+    VcStateKind state = VcStateKind::Idle;
+    std::int8_t out_port = -1;
+    std::int8_t out_vc = -1;
   };
-  struct InputPort {
-    std::vector<InputVc> vcs;
+  /// Output-VC record (slab region 3): credits mirror the downstream
+  /// buffer; the owner is the input VC holding it from VA grant to tail.
+  struct OutputVc {
+    std::int16_t credits = 0;
+    std::int8_t owner_port = -1;  ///< -1: free
+    std::int8_t owner_vc = -1;
+  };
+  struct Port {
     FlitPort* flit_in = nullptr;
     CreditPort* credit_out = nullptr;
-  };
-  struct OutputVc {
-    int credits = 0;
-    bool allocated = false;
-    int owner_port = -1;
-    int owner_vc = -1;
-  };
-  struct OutputPort {
-    std::vector<OutputVc> vcs;
     FlitPort* flit_out = nullptr;
     CreditPort* credit_in = nullptr;
-    bool connected() const noexcept { return flit_out != nullptr; }
   };
+
+  static constexpr std::uint64_t bit(int v) noexcept { return std::uint64_t{1} << v; }
+  int slot_of(int port, int vc) const noexcept { return port * cfg_.num_vcs + vc; }
+  /// Ring slot `i` (0 <= i < depth) of input VC `idx`.
+  Flit& ring(int idx, int i) noexcept {
+    return flits_[static_cast<std::size_t>(idx) * static_cast<std::size_t>(cfg_.vc_buffer_depth) +
+                  static_cast<std::size_t>(i)];
+  }
+  Flit& front(int idx) noexcept { return ring(idx, ivc_[idx].head); }
+  Flit pop_front(int idx) noexcept;
 
   void switch_allocation_and_traversal();
   void drain_drops();
@@ -221,33 +237,51 @@ class Router : public topo::RouterView {
   /// same stage sequence (only entered when tracking is on and there is
   /// buffered or droppable work).
   void compute_phase_tracked();
+  const InputVc& input_vc_at(PortDir port, int vc) const;
+  const OutputVc& output_vc_at(PortDir port, int vc) const;
 
   NodeId id_;
-  const MeshTopology* topo_;  ///< legacy mesh routing (null with an engine)
+  PacketTable* packets_;
   const topo::RoutingEngine* engine_ = nullptr;
   RouterConfig cfg_;
   int radix_;
-  std::vector<InputPort> in_;
-  std::vector<OutputPort> out_;
+
+  // The slab: one allocation holding ivc_[R·V], flits_[R·V·depth] and
+  // ovc_[R·V] back to back.
+  std::unique_ptr<std::byte[]> slab_;
+  std::size_t slab_bytes_ = 0;
+  InputVc* ivc_ = nullptr;
+  Flit* flits_ = nullptr;
+  OutputVc* ovc_ = nullptr;
+
+  std::array<Port, kMaxPorts> ports_{};
   SeparableAllocator va_alloc_;
-  std::vector<int> sa_input_ptr_;   ///< per input port: round-robin over VCs
-  std::vector<int> sa_output_ptr_;  ///< per output port: round-robin over input ports
+  std::array<int, kMaxPorts> sa_input_ptr_{};   ///< per input port: round-robin over VCs
+  std::array<int, kMaxPorts> sa_output_ptr_{};  ///< per output port: round-robin over inputs
   power::ActivityCounters activity_;
 
-  // Scan early-outs: pipeline stages iterate ports×VCs, and most of those
-  // slots are dead most of the time. These counters — maintained on every
-  // state transition — let each stage skip entirely when it has no work,
-  // which is the difference between O(active) and O(ports·VCs) per cycle.
+  // Stage early-outs: a stage with no work is skipped entirely.
   int buffered_total_ = 0;  ///< flits in all input FIFOs (gates SA)
   int waiting_count_ = 0;   ///< VCs in Waiting state (gates VA)
   int rc_pending_ = 0;      ///< Idle VCs with a buffered head (gates RC)
   int drop_pending_ = 0;    ///< VCs in Drop state (gates the drain stage)
 
-  /// Per input port: bit v set iff VC v is Active with a buffered flit —
-  /// the SA stage-1 candidate set (credit availability checked at scan
-  /// time). Lets the hot path visit only populated VCs. num_vcs <= 64 is
-  /// enforced at construction.
+  // Per input port VC bitmasks (num_vcs <= 64 is enforced at
+  // construction); each stage iterates the set bits in ascending VC order.
+  std::array<std::uint64_t, kMaxPorts> rc_mask_{};    ///< Idle with a buffered head
+  std::array<std::uint64_t, kMaxPorts> wait_mask_{};  ///< Waiting
+  std::array<std::uint64_t, kMaxPorts> drop_mask_{};  ///< Drop
+  /// Active with a buffered flit — SA candidates.
   std::array<std::uint64_t, kMaxPorts> sa_candidates_{};
+  /// Active and the held output VC has credit. SA stage 1 picks from
+  /// `sa_candidates_ & credit_ok_`. Kept through the output VC's owner: set
+  /// at the VA grant (if credited) and when a credit reaches an owned
+  /// output VC, cleared when a traversal takes the last credit and at the
+  /// tail.
+  std::array<std::uint64_t, kMaxPorts> credit_ok_{};
+  /// Per output port: bit u set iff output VC u is unowned (VA requests
+  /// AND it with the route's class mask).
+  std::array<std::uint64_t, kMaxPorts> ovc_free_{};
   /// Per input port: a credit was pushed upstream this cycle (SA traversal
   /// or drop drain) — the drain stage respects the 1-credit/cycle channel
   /// budget. Only maintained while drop_pending_ > 0.

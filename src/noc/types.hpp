@@ -76,29 +76,43 @@ class WakeSink {
   ~WakeSink() = default;
 };
 
-/// One flow-control unit. Flits carry enough context (src/dst/timestamps)
-/// to be self-describing at the ejection side; this mirrors the paper's
-/// note that delay measurement only needs a timestamp in the head flit.
-struct Flit {
-  PacketId packet_id = 0;
-  NodeId src = -1;
-  NodeId dst = -1;
-  std::uint16_t flit_index = 0;     ///< position within the packet
-  std::uint16_t packet_size = 0;    ///< total flits in the packet
-  bool head = false;
-  bool tail = false;
+/// Packet-invariant fields, written once when the NI starts injecting the
+/// packet and read at every router (routing, flight recorder) and at the
+/// ejecting NI. Stored once per packet in a PacketTable; flits refer to it
+/// by slot.
+struct PacketInfo {
+  PacketId id = 0;
   common::Picoseconds create_time_ps = 0;  ///< generation instant (node domain)
   std::uint64_t create_noc_cycle = 0;      ///< NoC cycle count at generation
-  std::uint8_t vc = 0;                     ///< VC on the link being traversed
-  std::uint16_t hops = 0;                  ///< routers traversed so far
-  /// Valiant intermediate *router* for UGAL non-minimal routing; -1 when
-  /// the packet routes minimally. Set once at the source router.
-  NodeId intm = -1;
-  std::uint8_t route_flags = 0;  ///< kRouteFlag* bits (routing-engine state)
+  NodeId src = -1;
+  NodeId dst = -1;
+  std::uint16_t size = 0;  ///< total flits in the packet
   /// Workload-defined label carried end to end (e.g. 0 = request, 1 =
   /// reply); the metrics layer splits delay statistics per class.
   std::uint8_t traffic_class = 0;
 };
+
+/// One flow-control unit: 16 bytes, so a 4-deep VC ring is one cache line.
+/// Everything that is the same for all flits of a packet lives in the
+/// network's PacketTable under `slot`; the flit keeps only per-flit state
+/// and the routing state routers mutate in flight. `route_flags` must stay
+/// per flit because up*/down* routing sets `WentDown` on *every* traversed
+/// flit (RoutingEngine::on_traverse) and reads it at the head; `intm` is
+/// written only through head flits (UGAL source decision) but rides along
+/// in otherwise-padding bytes.
+struct Flit {
+  std::uint32_t slot = 0;           ///< PacketTable slot of the packet
+  /// Valiant intermediate *router* for UGAL non-minimal routing; -1 when
+  /// the packet routes minimally. Set once at the source router.
+  NodeId intm = -1;
+  std::uint16_t flit_index = 0;  ///< position within the packet
+  std::uint16_t hops = 0;        ///< routers traversed so far
+  std::uint8_t vc = 0;           ///< VC on the link being traversed
+  std::uint8_t route_flags = 0;  ///< kRouteFlag* bits (routing-engine state)
+  bool head = false;
+  bool tail = false;
+};
+static_assert(sizeof(Flit) == 16, "Flit must stay 16 bytes (router ring density)");
 
 /// Credit returned upstream when a buffer slot frees.
 struct Credit {

@@ -29,7 +29,7 @@ MemSample sample_process_memory();
 
 /// One named allocation owner in a breakdown.
 struct MemOwner {
-  std::string name;            ///< e.g. "flits_in_flight", "timeline"
+  std::string name;            ///< e.g. "router_buffers", "timeline"
   std::uint64_t objects = 0;   ///< live object count (0 when not meaningful)
   std::uint64_t bytes = 0;     ///< bytes attributed to the owner
 };

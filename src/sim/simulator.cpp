@@ -926,8 +926,25 @@ RunResult Simulator::run(const RunPhases& phases) {
   result.manifest.set("host.peak_rss_bytes", result.host.peak_rss_bytes);
   if (cfg_.mem) {
     obs::MemBreakdown mem;
-    const std::uint64_t flits = net_.buffered_flits_now() + net_.total_source_backlog_flits();
-    mem.add("flits_in_flight", flits, flits * sizeof(noc::Flit));
+    // Router slabs are allocated at full capacity up front; source queues
+    // hold one PendingPacket entry per queued packet; the packet table holds
+    // every slot it ever grew to.
+    std::uint64_t ring_slots = 0, slab_bytes = 0;
+    for (int r = 0; r < net_.num_routers(); ++r) {
+      const noc::Router& router = net_.router_at(r);
+      ring_slots += static_cast<std::uint64_t>(router.radix()) *
+                    static_cast<std::uint64_t>(router.config().num_vcs) *
+                    static_cast<std::uint64_t>(router.config().vc_buffer_depth);
+      slab_bytes += router.slab_bytes();
+    }
+    mem.add("router_buffers", ring_slots, slab_bytes);
+    std::uint64_t queued = 0, queue_bytes = 0;
+    for (noc::NodeId n = 0; n < net_.num_nodes(); ++n) {
+      queued += net_.ni(n).source_queue_packets();
+      queue_bytes += net_.ni(n).source_queue_bytes();
+    }
+    mem.add("source_queues", queued, queue_bytes);
+    mem.add("packet_table", net_.packet_table().capacity(), net_.packet_table().bytes());
     std::uint64_t tl_bytes = timeline.window_t_ps.size() * sizeof(std::uint64_t) +
                              timeline.island_rows.size() * sizeof(obs::IslandWindowRow) +
                              timeline.events.size() * sizeof(obs::TimelineEvent);

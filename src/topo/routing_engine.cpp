@@ -58,34 +58,33 @@ std::uint64_t RoutingEngine::class_mask(int cls, int total) const {
   return upper & ~lower;
 }
 
-RouteDecision RoutingEngine::route(int router, noc::Flit& head, const RouterView& view,
-                                   bool force_escape) const {
-  const int dst_router = topo_->router_of(head.dst);
-  if (table_mode_) return route_table(router, head, dst_router);
+RouteDecision RoutingEngine::route(int router, noc::Flit& head, const noc::PacketInfo& pkt,
+                                   const RouterView& view, bool force_escape) const {
+  const int dst_router = topo_->router_of(pkt.dst);
+  if (table_mode_) return route_table(router, head, pkt.dst, dst_router);
   switch (algo_) {
     case RoutingAlgo::XY:
-    case RoutingAlgo::YX: return route_deterministic(router, head, dst_router);
+    case RoutingAlgo::YX: return route_deterministic(router, pkt.dst, dst_router);
     case RoutingAlgo::Adaptive:
-      if (dragonfly_minimal_) return route_deterministic(router, head, dst_router);
-      return route_adaptive(router, head, dst_router, view, force_escape);
-    case RoutingAlgo::Ugal: return route_ugal(router, head, dst_router, view);
+      if (dragonfly_minimal_) return route_deterministic(router, pkt.dst, dst_router);
+      return route_adaptive(router, pkt.dst, dst_router, view, force_escape);
+    case RoutingAlgo::Ugal: return route_ugal(router, head, pkt, dst_router, view);
   }
-  return route_deterministic(router, head, dst_router);
+  return route_deterministic(router, pkt.dst, dst_router);
 }
 
-RouteDecision RoutingEngine::route_deterministic(int router, const noc::Flit& head,
+RouteDecision RoutingEngine::route_deterministic(int router, noc::NodeId dst,
                                                  int dst_router) const {
-  if (router == dst_router) return {topo_->local_port(head.dst), all_mask_};
+  if (router == dst_router) return {topo_->local_port(dst), all_mask_};
   const int port = topo_->dor_port(det_algo_, router, dst_router);
   if (total_classes_ == 1) return {port, all_mask_};  // mesh/cmesh fast path
   return {port,
           class_mask(topo_->dor_vc_class(det_algo_, router, dst_router), total_classes_)};
 }
 
-RouteDecision RoutingEngine::route_adaptive(int router, const noc::Flit& head,
-                                            int dst_router, const RouterView& view,
-                                            bool force_escape) const {
-  if (router == dst_router) return {topo_->local_port(head.dst), all_mask_};
+RouteDecision RoutingEngine::route_adaptive(int router, noc::NodeId dst, int dst_router,
+                                            const RouterView& view, bool force_escape) const {
+  if (router == dst_router) return {topo_->local_port(dst), all_mask_};
   const int dor = topo_->dor_port(det_algo_, router, dst_router);
   // Classes: 0 = adaptive, 1.. = the deterministic escape classes.
   const int esc = 1 + topo_->dor_vc_class(det_algo_, router, dst_router);
@@ -107,17 +106,17 @@ RouteDecision RoutingEngine::route_adaptive(int router, const noc::Flit& head,
   return {best, mask};
 }
 
-void RoutingEngine::ugal_decide(int router, noc::Flit& head, int dst_router,
-                                const RouterView& view) const {
+void RoutingEngine::ugal_decide(int router, noc::Flit& head, const noc::PacketInfo& pkt,
+                                int dst_router, const RouterView& view) const {
   head.route_flags |= noc::kRouteFlagUgalDecided;
   const int num_routers = topo_->num_routers();
   if (router == dst_router || num_routers < 3) return;
   // Deterministic Valiant intermediate: hash of (packet, src, dst) so the
   // same seed always probes the same candidate, independent of timing.
-  common::SplitMix64 mix(head.packet_id * 0x9E3779B97F4A7C15ULL ^
-                         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(head.src))
+  common::SplitMix64 mix(pkt.id * 0x9E3779B97F4A7C15ULL ^
+                         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pkt.src))
                           << 32) ^
-                         static_cast<std::uint32_t>(head.dst));
+                         static_cast<std::uint32_t>(pkt.dst));
   int intm = static_cast<int>(mix.next() % static_cast<std::uint64_t>(num_routers));
   while (intm == router || intm == dst_router) intm = (intm + 1) % num_routers;
   const long long d_min = topo_->hop_distance(router, dst_router);
@@ -132,11 +131,11 @@ void RoutingEngine::ugal_decide(int router, noc::Flit& head, int dst_router,
   head.intm = intm;
 }
 
-RouteDecision RoutingEngine::route_ugal(int router, noc::Flit& head, int dst_router,
-                                        const RouterView& view) const {
+RouteDecision RoutingEngine::route_ugal(int router, noc::Flit& head, const noc::PacketInfo& pkt,
+                                        int dst_router, const RouterView& view) const {
   const int phase_classes = total_classes_ / 2;
   if (head.hops == 0 && !(head.route_flags & noc::kRouteFlagUgalDecided)) {
-    ugal_decide(router, head, dst_router, view);
+    ugal_decide(router, head, pkt, dst_router, view);
   }
   if (head.intm >= 0 && !(head.route_flags & noc::kRouteFlagPhase1) &&
       router == head.intm) {
@@ -145,7 +144,7 @@ RouteDecision RoutingEngine::route_ugal(int router, noc::Flit& head, int dst_rou
   const bool phase1 =
       head.intm < 0 || (head.route_flags & noc::kRouteFlagPhase1) != 0;
   const int target = phase1 ? dst_router : static_cast<int>(head.intm);
-  if (router == target) return {topo_->local_port(head.dst), all_mask_};
+  if (router == target) return {topo_->local_port(pkt.dst), all_mask_};
   const int port = topo_->dor_port(det_algo_, router, target);
   // Valiant leg 1 rides classes [0, K), leg 2 (and minimal packets) classes
   // [K, 2K): classes only ever increase along a path, so each leg's DOR
@@ -155,12 +154,12 @@ RouteDecision RoutingEngine::route_ugal(int router, noc::Flit& head, int dst_rou
   return {port, class_mask(cls, total_classes_)};
 }
 
-RouteDecision RoutingEngine::route_table(int router, noc::Flit& head,
+RouteDecision RoutingEngine::route_table(int router, noc::Flit& head, noc::NodeId dst,
                                          int dst_router) const {
   if (faults_->router_failed(router) || faults_->router_failed(dst_router)) {
     return {-1, 0};
   }
-  if (router == dst_router) return {topo_->local_port(head.dst), all_mask_};
+  if (router == dst_router) return {topo_->local_port(dst), all_mask_};
   const int num_routers = topo_->num_routers();
   const std::size_t idx =
       static_cast<std::size_t>(router) * static_cast<std::size_t>(num_routers) +

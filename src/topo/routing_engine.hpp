@@ -6,7 +6,8 @@
 ///
 /// One engine instance is shared by every router of a Network (it is
 /// stateless per packet — all per-packet routing state travels in the head
-/// flit's `intm` / `route_flags` fields). A decision is an output port plus
+/// flit's `intm` / `route_flags` fields; the packet's endpoints and id come
+/// from its PacketTable entry). A decision is an output port plus
 /// a VC *mask*: the set of virtual channels VC allocation may claim
 /// downstream. Masks implement the deadlock-avoidance class discipline
 /// each (topology, algorithm) pair needs; on the plain XY mesh the mask is
@@ -71,12 +72,12 @@ class RoutingEngine {
   /// True when VA-starvation escape rerouting applies (minimal-adaptive).
   bool adaptive_escape() const noexcept;
 
-  /// Route the packet headed by `head` at `router`. May mutate the head
-  /// flit's routing state (UGAL source decision, Valiant phase flip,
+  /// Route the packet `pkt` headed by `head` at `router`. May mutate the
+  /// head flit's routing state (UGAL source decision, Valiant phase flip,
   /// up*/down* restart). `force_escape` confines a starving adaptive
   /// packet to its deterministic escape path.
-  RouteDecision route(int router, noc::Flit& head, const RouterView& view,
-                      bool force_escape) const;
+  RouteDecision route(int router, noc::Flit& head, const noc::PacketInfo& pkt,
+                      const RouterView& view, bool force_escape) const;
 
   // --- fault plumbing (driven by noc::Network) ---
   void set_fault_model(const FaultModel* faults) { faults_ = faults; }
@@ -102,13 +103,14 @@ class RoutingEngine {
   long long rerouted_pairs() const noexcept { return rerouted_pairs_; }
 
  private:
-  RouteDecision route_deterministic(int router, const noc::Flit& head, int dst_router) const;
-  RouteDecision route_adaptive(int router, const noc::Flit& head, int dst_router,
+  RouteDecision route_deterministic(int router, noc::NodeId dst, int dst_router) const;
+  RouteDecision route_adaptive(int router, noc::NodeId dst, int dst_router,
                                const RouterView& view, bool force_escape) const;
-  RouteDecision route_ugal(int router, noc::Flit& head, int dst_router,
-                           const RouterView& view) const;
-  RouteDecision route_table(int router, noc::Flit& head, int dst_router) const;
-  void ugal_decide(int router, noc::Flit& head, int dst_router,
+  RouteDecision route_ugal(int router, noc::Flit& head, const noc::PacketInfo& pkt,
+                           int dst_router, const RouterView& view) const;
+  RouteDecision route_table(int router, noc::Flit& head, noc::NodeId dst,
+                            int dst_router) const;
+  void ugal_decide(int router, noc::Flit& head, const noc::PacketInfo& pkt, int dst_router,
                    const RouterView& view) const;
   std::uint64_t class_mask(int cls, int total) const;
   /// Fill `next` (size R·R) with up*/down* next-hop ports honouring the

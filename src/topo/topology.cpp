@@ -216,7 +216,6 @@ class TorusImpl final : public Topology {
   int dor_vc_class(RoutingAlgo algo, int here, int dst_router) const override {
     const int port = dor_port(algo, here, dst_router);
     const int w = width();
-    const int h = height();
     const int hx = here % w, hy = here / w;
     const int dx = dst_router % w, dy = dst_router / w;
     switch (noc::port_dir(port)) {

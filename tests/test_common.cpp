@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/config.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -421,41 +420,6 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(seconds_from_ps(1'000'000'000'000ULL), 1.0);
   EXPECT_DOUBLE_EQ(ghz(1.0), 1e9);
   EXPECT_DOUBLE_EQ(mhz(333.0), 333e6);
-}
-
-// -------------------------------------------------------- ring buffer ----
-
-TEST(RingBuffer, FifoOrderAcrossWrap) {
-  RingBuffer<int> rb(3);
-  for (int round = 0; round < 5; ++round) {
-    rb.push(round * 10 + 1);
-    rb.push(round * 10 + 2);
-    EXPECT_EQ(rb.pop(), round * 10 + 1);
-    EXPECT_EQ(rb.pop(), round * 10 + 2);
-  }
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, CapacityAndFull) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.push(2);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.size(), 2u);
-  EXPECT_EQ(rb.front(), 1);
-  EXPECT_EQ(rb.at(1), 2);
-}
-
-TEST(RingBuffer, OverflowUnderflowAreInvariantViolations) {
-  RingBuffer<int> rb(1);
-  EXPECT_THROW(rb.pop(), InvariantViolation);
-  rb.push(1);
-  EXPECT_THROW(rb.push(2), InvariantViolation);
-  EXPECT_THROW(rb.at(1), InvariantViolation);
-}
-
-TEST(RingBuffer, ZeroCapacityRejected) {
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
 }
 
 }  // namespace

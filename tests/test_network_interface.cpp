@@ -14,7 +14,7 @@ namespace {
 class NiHarness {
  public:
   explicit NiHarness(NiConfig cfg = NiConfig{4, 2})
-      : cfg_(cfg), ni_(7, cfg, &delivered_) {
+      : cfg_(cfg), ni_(7, cfg, &delivered_, &packets_) {
     ni_.connect(&inject_flit, &inject_credit, &eject_flit, &eject_credit);
   }
 
@@ -28,8 +28,16 @@ class NiHarness {
     ni_.inject_phase();
   }
 
+  /// Packet-table entry for flits the tests hand to the ejection side.
+  std::uint32_t packet(PacketId id, NodeId src, NodeId dst, int size,
+                       common::Picoseconds create_ps = 0, std::uint64_t create_cycle = 0) {
+    return packets_.acquire(PacketInfo{id, create_ps, create_cycle, src, dst,
+                                       static_cast<std::uint16_t>(size), 0});
+  }
+
   NiConfig cfg_;
   std::vector<PacketRecord> delivered_;
+  PacketTable packets_;
   FlitChannel inject_flit{1}, eject_flit{1};
   CreditChannel inject_credit{1}, eject_credit{1};
   NetworkInterface ni_;
@@ -53,11 +61,17 @@ TEST(NetworkInterface, SerializesPacketOneFlitPerCycle) {
   for (std::size_t i = 0; i < sent.size(); ++i) {
     EXPECT_EQ(sent[i].flit_index, i);
     EXPECT_EQ(sent[i].vc, sent.front().vc) << "packet must stay on one VC";
-    EXPECT_EQ(sent[i].src, 7);
-    EXPECT_EQ(sent[i].dst, 3);
-    EXPECT_EQ(sent[i].create_time_ps, 100u);
-    EXPECT_EQ(sent[i].create_noc_cycle, 5u);
+    EXPECT_EQ(sent[i].slot, sent.front().slot) << "one packet-table entry per packet";
   }
+  // The packet's invariant fields live in the table entry, acquired when
+  // the NI started serializing it.
+  ASSERT_EQ(h.packets_.live(), 1u);
+  const PacketInfo& pkt = h.packets_[sent.front().slot];
+  EXPECT_EQ(pkt.src, 7);
+  EXPECT_EQ(pkt.dst, 3);
+  EXPECT_EQ(pkt.size, 4);
+  EXPECT_EQ(pkt.create_time_ps, 100u);
+  EXPECT_EQ(pkt.create_noc_cycle, 5u);
   EXPECT_EQ(h.ni_.flits_injected(), 4u);
   EXPECT_EQ(h.ni_.source_backlog_flits(), 0u);
 }
@@ -106,18 +120,14 @@ TEST(NetworkInterface, BacklogTracksQueueAndPartialPacket) {
 TEST(NetworkInterface, EjectionReassemblesAndRecordsDelay) {
   NiHarness h;
   // Deliver a 3-flit packet interleaved over 3 cycles on VC 2.
+  const std::uint32_t slot = h.packet(99, 1, 7, 3, 1000, 10);
   for (int i = 0; i < 3; ++i) {
     Flit f;
-    f.packet_id = 99;
-    f.src = 1;
-    f.dst = 7;
+    f.slot = slot;
     f.flit_index = static_cast<std::uint16_t>(i);
-    f.packet_size = 3;
     f.head = (i == 0);
     f.tail = (i == 2);
     f.vc = 2;
-    f.create_time_ps = 1000;
-    f.create_noc_cycle = 10;
     f.hops = 4;
     h.eject_flit.push(f);
     h.cycle(5000 + 1000 * static_cast<common::Picoseconds>(i), 20 + static_cast<std::uint64_t>(i));
@@ -136,15 +146,13 @@ TEST(NetworkInterface, EjectionReassemblesAndRecordsDelay) {
   EXPECT_EQ(rec.latency_cycles(), 12u);
   EXPECT_EQ(h.ni_.packets_ejected(), 1u);
   EXPECT_EQ(h.ni_.flits_ejected(), 3u);
+  EXPECT_EQ(h.packets_.live(), 0u) << "the tail releases the packet-table slot";
 }
 
 TEST(NetworkInterface, EjectionReturnsCreditPerFlit) {
   NiHarness h;
   Flit f;
-  f.packet_id = 1;
-  f.src = 0;
-  f.dst = 7;
-  f.packet_size = 1;
+  f.slot = h.packet(1, 0, 7, 1);
   f.head = f.tail = true;
   f.vc = 3;
   h.eject_flit.push(f);
@@ -158,10 +166,7 @@ TEST(NetworkInterface, EjectionReturnsCreditPerFlit) {
 TEST(NetworkInterface, OutOfOrderFlitViolatesInvariant) {
   NiHarness h;
   Flit f;
-  f.packet_id = 5;
-  f.src = 0;
-  f.dst = 7;
-  f.packet_size = 3;
+  f.slot = h.packet(5, 0, 7, 3);
   f.flit_index = 1;  // body arrives with no open packet on the VC
   f.vc = 0;
   h.eject_flit.push(f);
@@ -171,10 +176,7 @@ TEST(NetworkInterface, OutOfOrderFlitViolatesInvariant) {
 TEST(NetworkInterface, InterleavedPacketsOnOneVcViolateInvariant) {
   NiHarness h;
   Flit a;
-  a.packet_id = 1;
-  a.src = 0;
-  a.dst = 7;
-  a.packet_size = 2;
+  a.slot = h.packet(1, 0, 7, 2);
   a.flit_index = 0;
   a.head = true;
   a.vc = 0;
@@ -182,17 +184,19 @@ TEST(NetworkInterface, InterleavedPacketsOnOneVcViolateInvariant) {
   h.cycle();
   (void)h.eject_credit.pop();
   Flit b = a;
-  b.packet_id = 2;  // a second head on the same VC before the first tail
+  b.slot = h.packet(2, 0, 7, 2);  // a second head on the same VC before the first tail
   h.eject_flit.push(b);
   EXPECT_THROW(h.cycle(), common::InvariantViolation);
 }
 
 TEST(NetworkInterface, ConstructionValidation) {
   std::vector<PacketRecord> sink;
-  EXPECT_THROW(NetworkInterface(0, NiConfig{0, 4}, &sink), std::invalid_argument);
-  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 0}, &sink), std::invalid_argument);
-  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, nullptr), std::invalid_argument);
-  NetworkInterface ni(0, NiConfig{4, 4}, &sink);
+  PacketTable packets;
+  EXPECT_THROW(NetworkInterface(0, NiConfig{0, 4}, &sink, &packets), std::invalid_argument);
+  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 0}, &sink, &packets), std::invalid_argument);
+  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, nullptr, &packets), std::invalid_argument);
+  EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, &sink, nullptr), std::invalid_argument);
+  NetworkInterface ni(0, NiConfig{4, 4}, &sink, &packets);
   FlitChannel f(1);
   CreditChannel c(1);
   EXPECT_THROW(ni.connect(nullptr, &c, &f, &c), std::invalid_argument);
@@ -200,8 +204,9 @@ TEST(NetworkInterface, ConstructionValidation) {
 
 TEST(NetworkInterface, PacketIdsAreNodeUnique) {
   std::vector<PacketRecord> sink;
-  NetworkInterface a(1, NiConfig{2, 2}, &sink);
-  NetworkInterface b(2, NiConfig{2, 2}, &sink);
+  PacketTable packets;
+  NetworkInterface a(1, NiConfig{2, 2}, &sink, &packets);
+  NetworkInterface b(2, NiConfig{2, 2}, &sink, &packets);
   FlitChannel fa(1), fb(1), ea(1), eb(1);
   CreditChannel ca(1), cb(1), ka(1), kb(1);
   a.connect(&fa, &ca, &ea, &ka);
@@ -217,7 +222,8 @@ TEST(NetworkInterface, PacketIdsAreNodeUnique) {
   const auto flit_a = fa.pop();
   const auto flit_b = fb.pop();
   ASSERT_TRUE(flit_a && flit_b);
-  EXPECT_NE(flit_a->packet_id, flit_b->packet_id);
+  EXPECT_NE(flit_a->slot, flit_b->slot);
+  EXPECT_NE(packets[flit_a->slot].id, packets[flit_b->slot].id);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "noc/allocator.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
@@ -97,20 +99,26 @@ TEST(ArbiterFactory, CreatesByNameAndRejectsUnknown) {
 // ---------------------------------------------------------- allocator ----
 
 TEST(SeparableAllocator, SingleRequestGranted) {
-  SeparableAllocator alloc(4, 4);
-  alloc.add_request(1, 2);
+  SeparableAllocator alloc(4, 1, 4);
+  alloc.add_request(1, 0, 1u << 2);
   const auto& grants = alloc.allocate();
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_EQ(grants[0], (std::pair<int, int>{1, 2}));
 }
 
+TEST(SeparableAllocator, ResourcesAreNumberedByGroup) {
+  SeparableAllocator alloc(2, 3, 4);  // resources 0..11, groups of 4
+  alloc.add_request(1, 2, 1u << 1);
+  const auto& grants = alloc.allocate();
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0], (std::pair<int, int>{1, 9}));
+}
+
 TEST(SeparableAllocator, MatchingIsValid) {
   // Every agent requests every resource; the result must be a matching.
-  SeparableAllocator alloc(4, 4);
+  SeparableAllocator alloc(4, 1, 4);
   for (int round = 0; round < 20; ++round) {
-    for (int a = 0; a < 4; ++a) {
-      for (int r = 0; r < 4; ++r) alloc.add_request(a, r);
-    }
+    for (int a = 0; a < 4; ++a) alloc.add_request(a, 0, 0xf);
     const auto& grants = alloc.allocate();
     std::set<int> agents, resources;
     for (const auto& [a, r] : grants) {
@@ -122,9 +130,9 @@ TEST(SeparableAllocator, MatchingIsValid) {
 }
 
 TEST(SeparableAllocator, ConflictResolvedToOneWinner) {
-  SeparableAllocator alloc(3, 3);
-  alloc.add_request(0, 1);
-  alloc.add_request(2, 1);
+  SeparableAllocator alloc(3, 1, 3);
+  alloc.add_request(0, 0, 1u << 1);
+  alloc.add_request(2, 0, 1u << 1);
   const auto& grants = alloc.allocate();
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_EQ(grants[0].second, 1);
@@ -133,11 +141,11 @@ TEST(SeparableAllocator, ConflictResolvedToOneWinner) {
 TEST(SeparableAllocator, RepeatedConflictAlternates) {
   // Under persistent 2-way conflict the rotating pointers must alternate
   // winners (starvation freedom).
-  SeparableAllocator alloc(2, 1);
+  SeparableAllocator alloc(2, 1, 1);
   std::map<int, int> wins;
   for (int i = 0; i < 100; ++i) {
-    alloc.add_request(0, 0);
-    alloc.add_request(1, 0);
+    alloc.add_request(0, 0, 1);
+    alloc.add_request(1, 0, 1);
     const auto& grants = alloc.allocate();
     ASSERT_EQ(grants.size(), 1u);
     ++wins[grants[0].first];
@@ -146,16 +154,70 @@ TEST(SeparableAllocator, RepeatedConflictAlternates) {
   EXPECT_EQ(wins[1], 50);
 }
 
+TEST(SeparableAllocator, MatchesCyclicNearestOracle) {
+  // Reference: the allocator defined over flat resource lists — stage 1
+  // picks the requested resource at the smallest cyclic distance from the
+  // agent's pointer, stage 2 the claimant at the smallest cyclic distance
+  // from the resource's pointer; grants in first-claim order. The mask
+  // form must reproduce its grants exactly, round after round.
+  constexpr int kAgents = 12, kGroups = 3, kWidth = 5, kResources = kGroups * kWidth;
+  std::vector<int> agent_ptr(kAgents, 0), resource_ptr(kResources, 0);
+  SeparableAllocator alloc(kAgents, kGroups, kWidth);
+  common::Rng rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::pair<int, int>> expected;
+    std::vector<int> winner(kResources, -1), claim_order;
+    for (int a = 0; a < kAgents; ++a) {
+      if (!rng.bernoulli(0.6)) continue;
+      const int g = static_cast<int>(rng.uniform_below(kGroups));
+      const auto mask = 1 + rng.uniform_below((1u << kWidth) - 1);
+      alloc.add_request(a, g, mask);
+      int best = -1, best_dist = kResources;
+      for (int b = 0; b < kWidth; ++b) {
+        if (((mask >> b) & 1u) == 0) continue;
+        const int r = g * kWidth + b;
+        const int dist = (r - agent_ptr[a] + kResources) % kResources;
+        if (dist < best_dist) {
+          best_dist = dist;
+          best = r;
+        }
+      }
+      if (winner[best] < 0) {
+        winner[best] = a;
+        claim_order.push_back(best);
+      } else {
+        const int d_new = (a - resource_ptr[best] + kAgents) % kAgents;
+        const int d_old = (winner[best] - resource_ptr[best] + kAgents) % kAgents;
+        if (d_new < d_old) winner[best] = a;
+      }
+    }
+    for (const int r : claim_order) {
+      expected.emplace_back(winner[r], r);
+      agent_ptr[winner[r]] = (r + 1) % kResources;
+      resource_ptr[r] = (winner[r] + 1) % kAgents;
+    }
+    ASSERT_EQ(alloc.allocate(), expected) << "round " << round;
+  }
+}
+
 TEST(SeparableAllocator, ClearDropsRequests) {
-  SeparableAllocator alloc(2, 2);
-  alloc.add_request(0, 0);
+  SeparableAllocator alloc(2, 1, 2);
+  alloc.add_request(0, 0, 1);
   alloc.clear_requests();
   EXPECT_TRUE(alloc.allocate().empty());
 }
 
 TEST(SeparableAllocator, InvalidSizesRejected) {
-  EXPECT_THROW(SeparableAllocator(0, 1), std::invalid_argument);
-  EXPECT_THROW(SeparableAllocator(1, 0), std::invalid_argument);
+  EXPECT_THROW(SeparableAllocator(0, 1, 1), std::invalid_argument);
+  EXPECT_THROW(SeparableAllocator(1, 0, 1), std::invalid_argument);
+  EXPECT_THROW(SeparableAllocator(1, 1, 0), std::invalid_argument);
+  EXPECT_THROW(SeparableAllocator(1, 1, 65), std::invalid_argument);
+  SeparableAllocator alloc(2, 2, 4);
+  EXPECT_THROW(alloc.add_request(0, 0, 0), common::InvariantViolation);
+  EXPECT_THROW(alloc.add_request(0, 0, 1u << 4), common::InvariantViolation);
+  EXPECT_THROW(alloc.add_request(0, 2, 1), common::InvariantViolation);
+  alloc.add_request(0, 0, 1);
+  EXPECT_THROW(alloc.add_request(0, 1, 1), common::InvariantViolation);
 }
 
 // ----------------------------------------------------------- topology ----

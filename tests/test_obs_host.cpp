@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "noc/network.hpp"
 #include "obs/manifest.hpp"
 #include "obs/memstats.hpp"
 #include "obs/prof.hpp"
@@ -247,7 +248,34 @@ TEST(HostResult, RunAttachesWallTimeManifestAndProfile) {
   ASSERT_NE(r.manifest.find("host.wall_s"), nullptr);
   ASSERT_NE(r.manifest.find("host.calib_mops"), nullptr);
   ASSERT_NE(r.manifest.find("mem.total_bytes"), nullptr);
-  ASSERT_NE(r.manifest.find("mem.flits_in_flight.bytes"), nullptr);
+
+  // mem=on sizes the NoC's storage from what actually holds it: router
+  // slabs (allocated whole at construction), source-queue entries, and
+  // the packet table's lazily grown slots.
+  const auto mem_value = [&r](const std::string& key) -> std::uint64_t {
+    const std::string* v = r.manifest.find("mem." + key);
+    EXPECT_NE(v, nullptr) << key;
+    return v ? std::stoull(*v) : 0;
+  };
+  EXPECT_EQ(r.manifest.find("mem.flits_in_flight.bytes"), nullptr);
+  const noc::Network reference(s.network);
+  std::uint64_t slab_bytes = 0;
+  for (int i = 0; i < reference.num_routers(); ++i) {
+    slab_bytes += reference.router_at(i).slab_bytes();
+  }
+  const std::uint64_t ring_slots = 25u * noc::kMeshPorts *
+                                   static_cast<std::uint64_t>(s.network.num_vcs) *
+                                   static_cast<std::uint64_t>(s.network.vc_buffer_depth);
+  EXPECT_EQ(mem_value("router_buffers.objects"), ring_slots);
+  EXPECT_EQ(mem_value("router_buffers.bytes"), slab_bytes);
+  EXPECT_GE(slab_bytes, ring_slots * sizeof(noc::Flit));
+  const std::uint64_t table_slots = mem_value("packet_table.objects");
+  EXPECT_GT(table_slots, 0u);
+  EXPECT_LT(table_slots, r.packets_delivered) << "the table grows to the packets in flight";
+  EXPECT_GE(mem_value("packet_table.bytes"), table_slots * sizeof(noc::PacketInfo));
+  if (mem_value("source_queues.objects") == 0) {
+    EXPECT_EQ(mem_value("source_queues.bytes"), 0u);
+  }
 
   // prof=on yields a profile rooted at the main loop's "run" phase, and
   // the root's inclusive time is bounded by the measured host wall time.

@@ -4,33 +4,29 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "noc/channel.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/router.hpp"
+#include "topo/routing_engine.hpp"
+#include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
 namespace {
 
-Flit make_flit(NodeId src, NodeId dst, int index, int size, int vc) {
-  Flit f;
-  f.packet_id = 1;
-  f.src = src;
-  f.dst = dst;
-  f.flit_index = static_cast<std::uint16_t>(index);
-  f.packet_size = static_cast<std::uint16_t>(size);
-  f.head = (index == 0);
-  f.tail = (index == size - 1);
-  f.vc = static_cast<std::uint8_t>(vc);
-  return f;
-}
-
-/// Router 0 of a 2×1 mesh: ports Local and East are wired, the rest are
-/// absent (mesh edge). The test drives the channels directly.
+/// Router 0 of a 2×1 mesh, routed XY by a mesh RoutingEngine: ports Local
+/// and East are wired, the rest are absent (mesh edge). The test drives
+/// the channels directly.
 class RouterHarness {
  public:
   explicit RouterHarness(RouterConfig cfg = RouterConfig{})
-      : topo_(2, 1), router_(0, topo_, cfg) {
+      : topo_(topo::Topology::make(topo::TopologyKind::Mesh, 2, 1, 1)),
+        engine_(*topo_, RoutingAlgo::XY, cfg.num_vcs),
+        router_(0, topo_->radix(0), cfg, packets_) {
+    router_.set_routing_engine(&engine_);
+    router_.set_first_local_port(topo_->num_net_ports(0));
     router_.connect_input(PortDir::Local, &in_local, &credit_to_local_src);
     router_.connect_input(PortDir::East, &in_east, &credit_to_east_src);
     router_.connect_output(PortDir::Local, &out_local, &credit_from_local_sink);
@@ -47,7 +43,25 @@ class RouterHarness {
     }
     router_.receive_phase();
     router_.compute_phase();
+    router_.check_invariants();
   }
+
+  /// Flit `index` of a `size`-flit packet from `src` to `dst` on `vc`. A
+  /// head opens a new packet-table entry; body flits join the last one.
+  Flit flit(NodeId src, NodeId dst, int index, int size, int vc) {
+    if (index == 0) {
+      slot_ = packets_.acquire(
+          PacketInfo{next_id_++, 0, 0, src, dst, static_cast<std::uint16_t>(size), 0});
+    }
+    Flit f;
+    f.slot = slot_;
+    f.flit_index = static_cast<std::uint16_t>(index);
+    f.head = (index == 0);
+    f.tail = (index == size - 1);
+    f.vc = static_cast<std::uint8_t>(vc);
+    return f;
+  }
+  NodeId dst_of(const Flit& f) const { return packets_[f.slot].dst; }
 
   /// Consume the credits the router sends back towards the flit sources —
   /// what a protocol-respecting upstream does every cycle. Tests that
@@ -59,13 +73,17 @@ class RouterHarness {
 
   Router& router() { return router_; }
 
-  MeshTopology topo_;
+  std::unique_ptr<topo::Topology> topo_;
+  topo::RoutingEngine engine_;
+  PacketTable packets_;
   FlitChannel in_local{1}, in_east{1}, out_local{1}, out_east{1};
   CreditChannel credit_to_local_src{1}, credit_to_east_src{1};
   CreditChannel credit_from_local_sink{1}, credit_from_east_sink{1};
 
  private:
   Router router_;
+  std::uint32_t slot_ = 0;
+  PacketId next_id_ = 1;
 };
 
 TEST(Router, HeadFlitPipelineLatency) {
@@ -73,7 +91,7 @@ TEST(Router, HeadFlitPipelineLatency) {
   // Single-flit packet destined to node 1 (East). Pushed at cycle 0 → the
   // channel delivers at cycle 1 (RC), VA at 2, SA+ST at 3, and the output
   // link delivers at cycle 4.
-  h.in_local.push(make_flit(0, 1, 0, 1, 0));
+  h.in_local.push(h.flit(0, 1, 0, 1, 0));
   std::optional<Flit> got;
   int arrival_cycle = -1;
   for (int cyc = 1; cyc <= 6; ++cyc) {
@@ -86,20 +104,20 @@ TEST(Router, HeadFlitPipelineLatency) {
   }
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(arrival_cycle, 4);
-  EXPECT_EQ(got->dst, 1);
+  EXPECT_EQ(h.dst_of(*got), 1);
   EXPECT_EQ(got->hops, 1);
 }
 
 TEST(Router, RoutesToLocalWhenDestinationIsSelf) {
   RouterHarness h;
-  h.in_east.push(make_flit(1, 0, 0, 1, 0));
+  h.in_east.push(h.flit(1, 0, 0, 1, 0));
   std::optional<Flit> got;
   for (int cyc = 0; cyc < 8 && !got; ++cyc) {
     h.cycle();
     got = h.out_local.pop();
   }
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->dst, 0);
+  EXPECT_EQ(h.dst_of(*got), 0);
 }
 
 TEST(Router, CreditDecrementsOnTraversalAndReturnsUpstream) {
@@ -109,7 +127,7 @@ TEST(Router, CreditDecrementsOnTraversalAndReturnsUpstream) {
   const int before = h.router().output_credits(PortDir::East, 0);
   EXPECT_EQ(before, 4);
 
-  h.in_local.push(make_flit(0, 1, 0, 1, 0));
+  h.in_local.push(h.flit(0, 1, 0, 1, 0));
   bool credit_seen = false;
   int credits_after_st = -1;
   for (int cyc = 1; cyc <= 6; ++cyc) {
@@ -132,7 +150,7 @@ TEST(Router, TailReleasesOutputVc) {
   RouterHarness h;
   constexpr int kSize = 3;
   for (int i = 0; i < kSize; ++i) {
-    h.in_local.push(make_flit(0, 1, i, kSize, 0));
+    h.in_local.push(h.flit(0, 1, i, kSize, 0));
     h.cycle();
     h.drain_source_credits();
   }
@@ -156,7 +174,7 @@ TEST(Router, MultiFlitPacketStreamsInOrder) {
   std::vector<int> received;
   for (int cyc = 0; cyc < 20; ++cyc) {
     if (pushed < kSize) {
-      h.in_local.push(make_flit(0, 1, pushed, kSize, 2));
+      h.in_local.push(h.flit(0, 1, pushed, kSize, 2));
       ++pushed;
     }
     h.cycle();
@@ -187,7 +205,7 @@ TEST(Router, CreditStarvationStallsAndCreditResumesFlow) {
     }
     if (auto c = h.credit_to_local_src.pop()) (void)c;
     if (pushed < kSize && h.router().input_vc_occupancy(PortDir::Local, 1) < 2) {
-      h.in_local.push(make_flit(0, 1, pushed, kSize, 1));
+      h.in_local.push(h.flit(0, 1, pushed, kSize, 1));
       ++pushed;
     }
     h.cycle();
@@ -222,8 +240,8 @@ TEST(Router, TwoInputsToSameOutputShareBandwidthFairly) {
   int got_east = 0, got_local = 0;
   for (int cyc = 0; cyc < 40; ++cyc) {
     if (sent < 16) {
-      h.in_local.push(make_flit(0, 1, 0, 1, static_cast<std::uint8_t>(sent % 4)));
-      h.in_east.push(make_flit(1, 0, 0, 1, static_cast<std::uint8_t>(sent % 4)));
+      h.in_local.push(h.flit(0, 1, 0, 1, static_cast<std::uint8_t>(sent % 4)));
+      h.in_east.push(h.flit(1, 0, 0, 1, static_cast<std::uint8_t>(sent % 4)));
       ++sent;
     }
     // Keep credits flowing back so neither direction starves.
@@ -243,7 +261,7 @@ TEST(Router, ActivityCountersTrackFlits) {
   RouterHarness h;
   constexpr int kSize = 4;
   for (int i = 0; i < kSize; ++i) {
-    h.in_local.push(make_flit(0, 1, i, kSize, 0));
+    h.in_local.push(h.flit(0, 1, i, kSize, 0));
     h.cycle();
     h.drain_source_credits();
     (void)h.out_east.pop();
@@ -273,7 +291,7 @@ TEST(Router, BufferOverflowFromCreditViolationIsCaught) {
   EXPECT_THROW(
       {
         for (int i = 0; i < kFlits; ++i) {
-          h.in_local.push(make_flit(0, 1, i, kFlits, 3));
+          h.in_local.push(h.flit(0, 1, i, kFlits, 3));
           h.cycle();
         }
       },
@@ -281,21 +299,22 @@ TEST(Router, BufferOverflowFromCreditViolationIsCaught) {
 }
 
 TEST(Router, ConfigValidation) {
-  MeshTopology topo(2, 1);
+  PacketTable packets;
   RouterConfig bad;
   bad.num_vcs = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad, packets), std::invalid_argument);
   bad.num_vcs = 65;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad, packets), std::invalid_argument);
   bad.num_vcs = 4;
   bad.vc_buffer_depth = 0;
-  EXPECT_THROW(Router(0, topo, bad), std::invalid_argument);
-  EXPECT_THROW(Router(7, topo, RouterConfig{}), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMeshPorts, bad, packets), std::invalid_argument);
+  EXPECT_THROW(Router(0, 0, RouterConfig{}, packets), std::invalid_argument);
+  EXPECT_THROW(Router(0, kMaxPorts + 1, RouterConfig{}, packets), std::invalid_argument);
 }
 
 TEST(Router, WiringValidation) {
-  MeshTopology topo(2, 1);
-  Router r(0, topo, RouterConfig{});
+  PacketTable packets;
+  Router r(0, kMeshPorts, RouterConfig{}, packets);
   FlitChannel f(1);
   CreditChannel c(1);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);

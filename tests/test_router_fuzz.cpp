@@ -6,7 +6,10 @@
 //   for every output VC:  router credits + credits in flight back to the
 //   router + flits the sink has not yet credited == buffer depth
 //
-// and, at the end, complete in-order delivery of every packet.
+// and, at the end, complete in-order delivery of every packet. Every fuzz
+// suite here also runs Router::check_invariants() on every router every
+// cycle: the incrementally kept VC masks and counters must equal a full
+// rescan of the VC state.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +20,10 @@
 #include "common/rng.hpp"
 #include "noc/channel.hpp"
 #include "noc/network.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/router.hpp"
+#include "topo/routing_engine.hpp"
+#include "topo/topology.hpp"
 
 namespace nocdvfs::noc {
 namespace {
@@ -35,8 +41,12 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   RouterConfig cfg;
   cfg.num_vcs = num_vcs;
   cfg.vc_buffer_depth = depth;
-  MeshTopology topo(2, 1);
-  Router router(0, topo, cfg);
+  const auto topo = topo::Topology::make(topo::TopologyKind::Mesh, 2, 1, 1);
+  const topo::RoutingEngine engine(*topo, RoutingAlgo::XY, num_vcs);
+  PacketTable packets;
+  Router router(0, topo->radix(0), cfg, packets);
+  router.set_routing_engine(&engine);
+  router.set_first_local_port(topo->num_net_ports(0));
 
   FlitChannel in_local(1), out_east(1), in_east(1), out_local(1);
   CreditChannel credit_src(1), credit_sink(1), credit_src_e(1), credit_sink_l(1);
@@ -54,6 +64,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
 
   struct SendState {
     std::uint64_t packet = 0;
+    std::uint32_t slot = 0;
     int flit = 0;
     int size = 0;
     int vc = -1;
@@ -76,13 +87,17 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
     }
     router.receive_phase();
     router.compute_phase();
+    ASSERT_NO_THROW(router.check_invariants()) << "cycle " << cyc;
 
     // Sink: receive flits, schedule credit return 1..4 cycles later.
     if (auto f = out_east.pop()) {
-      auto& exp = received_flits[f->packet_id];
+      auto& exp = received_flits[packets[f->slot].id];
       ASSERT_EQ(exp, f->flit_index) << "out-of-order flit within packet";
       ++exp;
-      if (f->tail) ++packets_done;
+      if (f->tail) {
+        ++packets_done;
+        packets.release(f->slot);
+      }
       pending_credit_delay[f->vc].push_back(1 + static_cast<int>(rng.uniform_below(4)));
     }
     // Age the pending credits; return those that mature (≤1 per cycle per
@@ -107,16 +122,15 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
         send.packet = next_packet_id++;
         send.flit = 0;
         send.size = 1 + static_cast<int>(rng.uniform_below(9));
+        send.slot = packets.acquire(
+            PacketInfo{send.packet, 0, 0, 0, 1, static_cast<std::uint16_t>(send.size), 0});
       }
     }
     if (send.active && up_credits[static_cast<std::size_t>(send.vc)] > 0 &&
         rng.bernoulli(0.8)) {
       Flit f;
-      f.packet_id = send.packet;
-      f.src = 0;
-      f.dst = 1;  // always routed East
+      f.slot = send.slot;  // src 0, dst 1: always routed East
       f.flit_index = static_cast<std::uint16_t>(send.flit);
-      f.packet_size = static_cast<std::uint16_t>(send.size);
       f.head = (send.flit == 0);
       f.tail = (send.flit + 1 == send.size);
       f.vc = static_cast<std::uint8_t>(send.vc);
@@ -143,6 +157,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
     }
   }
   EXPECT_EQ(packets_done, kPackets) << "fuzz run failed to deliver all packets";
+  EXPECT_EQ(packets.live(), 0u) << "every delivered packet released its table slot";
 }
 
 // --- skip-idle activity-list fuzz -----------------------------------------
@@ -208,6 +223,10 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
     }
     on.step(static_cast<common::Picoseconds>(c) * 1000);
     off.step(static_cast<common::Picoseconds>(c) * 1000);
+    for (int r = 0; r < on.num_routers(); ++r) {
+      ASSERT_NO_THROW(on.router_at(r).check_invariants()) << "cycle " << c;
+      ASSERT_NO_THROW(off.router_at(r).check_invariants()) << "cycle " << c;
+    }
 
     // Conservation on the skip-idle network, every cycle: no flit may be
     // lost in a parked corner of the mesh.
@@ -221,6 +240,7 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
   EXPECT_EQ(on.total_packets_ejected(), generated_packets);
   EXPECT_EQ(on.flits_in_network(), 0u);
   EXPECT_EQ(on.island_active_nodes(0), 0);
+  EXPECT_EQ(on.packet_table().live(), 0u);
 
   // Bit-identity against the always-step discipline, packet by packet.
   ASSERT_EQ(on.delivered().size(), off.delivered().size());
@@ -313,6 +333,9 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
       }
     }
     net.step(static_cast<common::Picoseconds>(c) * 1000);
+    for (int r = 0; r < net.num_routers(); ++r) {
+      ASSERT_NO_THROW(net.router_at(r).check_invariants()) << "cycle " << c;
+    }
 
     // Fault-aware conservation, every cycle.
     ASSERT_EQ(net.total_flits_generated(),
@@ -340,6 +363,7 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
   EXPECT_EQ(net.total_flits_generated(),
             net.total_flits_ejected() + net.total_flits_dropped());
   EXPECT_EQ(net.flits_in_network(), 0u);
+  EXPECT_EQ(net.packet_table().live(), 0u) << "ejection and drop drains free every slot";
   EXPECT_GT(net.total_packets_ejected(), 0u);
   if (cfg.faults.empty()) {
     EXPECT_EQ(net.total_flits_dropped(), 0u);
