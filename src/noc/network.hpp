@@ -13,9 +13,9 @@
 /// below degenerates to the historical behaviour bit-for-bit.
 ///
 /// With a single island (the default, and the paper's configuration)
-/// `step()` advances exactly one NoC clock cycle; the clock kernel decides
-/// *when* those cycles happen in master (picosecond) time — that
-/// separation is what lets the DVFS controller slow the network relative
+/// `step_island(0, now)` advances exactly one NoC clock cycle; the clock
+/// kernel decides *when* those cycles happen in master (picosecond) time —
+/// that separation is what lets the DVFS controller slow the network relative
 /// to the nodes (the paper's central mechanism).
 ///
 /// With a voltage–frequency-island partition (`NetworkConfig::island_of`)
@@ -99,11 +99,6 @@ class Network : public WakeSink {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// Advance one NoC clock cycle at master time `now`. Only valid for
-  /// single-island networks (throws std::logic_error otherwise); island
-  /// partitions are stepped per domain with `step_island`.
-  void step(common::Picoseconds now);
 
   /// Advance island `island` by one cycle of its own clock at master time
   /// `now`: tick its channels (including CDC fifos it reads from), then

@@ -182,9 +182,8 @@ struct HostWorkerStats {
 struct Timeline {
   static constexpr std::uint32_t kVersion = 3;
 
-  /// Format version of the file this timeline was read from (writers
-  /// always emit kVersion; an older file reads back with the newer-only
-  /// sections empty).
+  /// Format version of the file this timeline was read from. Writers
+  /// always emit kVersion and the reader accepts no other version.
   std::uint32_t version = kVersion;
 
   int width = 0;   ///< NI grid (nodes)

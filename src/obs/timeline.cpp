@@ -247,8 +247,10 @@ Timeline read_timeline_binary(const std::string& path) {
                              "\", expected \"NOCO\")");
   }
   const auto version = get<std::uint32_t>(is);
-  if (version < 1 || version > Timeline::kVersion) {
-    throw std::runtime_error("timeline: unsupported version " + std::to_string(version));
+  if (version != Timeline::kVersion) {
+    throw std::runtime_error("timeline: '" + path + "' is .nocobs version " +
+                             std::to_string(version) + "; this reader supports version " +
+                             std::to_string(Timeline::kVersion) + " only");
   }
 
   Timeline tl;
@@ -325,90 +327,86 @@ Timeline read_timeline_binary(const std::string& path) {
     tl.events.push_back(ev);
   }
 
-  if (version >= 2) {
-    const auto num_flights = get<std::uint32_t>(is);
-    tl.flights.reserve(num_flights);
-    for (std::uint32_t f = 0; f < num_flights; ++f) {
-      FlightRecord rec;
-      rec.packet_id = get<std::uint64_t>(is);
-      rec.src = get<std::int32_t>(is);
-      rec.dst = get<std::int32_t>(is);
-      rec.size_flits = get<std::int32_t>(is);
-      rec.traffic_class = get<std::uint8_t>(is);
-      rec.create_t_ps = get<std::uint64_t>(is);
-      const auto num_fe = get<std::uint32_t>(is);
-      rec.events.reserve(num_fe);
-      for (std::uint32_t e = 0; e < num_fe; ++e) {
-        FlightEvent ev;
-        ev.t_ps = get<std::uint64_t>(is);
-        ev.router = get<std::int32_t>(is);
-        ev.arg = get<std::int32_t>(is);
-        ev.stage = static_cast<FlightStage>(get<std::uint8_t>(is));
-        rec.events.push_back(ev);
-      }
-      tl.flights.push_back(std::move(rec));
+  const auto num_flights = get<std::uint32_t>(is);
+  tl.flights.reserve(num_flights);
+  for (std::uint32_t f = 0; f < num_flights; ++f) {
+    FlightRecord rec;
+    rec.packet_id = get<std::uint64_t>(is);
+    rec.src = get<std::int32_t>(is);
+    rec.dst = get<std::int32_t>(is);
+    rec.size_flits = get<std::int32_t>(is);
+    rec.traffic_class = get<std::uint8_t>(is);
+    rec.create_t_ps = get<std::uint64_t>(is);
+    const auto num_fe = get<std::uint32_t>(is);
+    rec.events.reserve(num_fe);
+    for (std::uint32_t e = 0; e < num_fe; ++e) {
+      FlightEvent ev;
+      ev.t_ps = get<std::uint64_t>(is);
+      ev.router = get<std::int32_t>(is);
+      ev.arg = get<std::int32_t>(is);
+      ev.stage = static_cast<FlightStage>(get<std::uint8_t>(is));
+      rec.events.push_back(ev);
     }
-
-    const auto num_hists = get<std::uint32_t>(is);
-    tl.histograms.reserve(num_hists);
-    for (std::uint32_t h = 0; h < num_hists; ++h) {
-      HistogramSnapshot snap;
-      snap.label = get_str(is);
-      snap.count = get<std::uint64_t>(is);
-      snap.min = get<std::uint64_t>(is);
-      snap.max = get<std::uint64_t>(is);
-      const auto buckets = get<std::uint32_t>(is);
-      snap.bucket_index.reserve(buckets);
-      snap.bucket_count.reserve(buckets);
-      for (std::uint32_t b = 0; b < buckets; ++b) {
-        snap.bucket_index.push_back(get<std::uint32_t>(is));
-        snap.bucket_count.push_back(get<std::uint64_t>(is));
-      }
-      tl.histograms.push_back(std::move(snap));
-    }
+    tl.flights.push_back(std::move(rec));
   }
 
-  if (version >= 3) {
-    const auto num_manifest = get<std::uint32_t>(is);
-    tl.manifest.reserve(num_manifest);
-    for (std::uint32_t m = 0; m < num_manifest; ++m) {
-      std::string key = get_str(is);
-      std::string value = get_str(is);
-      tl.manifest.emplace_back(std::move(key), std::move(value));
+  const auto num_hists = get<std::uint32_t>(is);
+  tl.histograms.reserve(num_hists);
+  for (std::uint32_t h = 0; h < num_hists; ++h) {
+    HistogramSnapshot snap;
+    snap.label = get_str(is);
+    snap.count = get<std::uint64_t>(is);
+    snap.min = get<std::uint64_t>(is);
+    snap.max = get<std::uint64_t>(is);
+    const auto buckets = get<std::uint32_t>(is);
+    snap.bucket_index.reserve(buckets);
+    snap.bucket_count.reserve(buckets);
+    for (std::uint32_t b = 0; b < buckets; ++b) {
+      snap.bucket_index.push_back(get<std::uint32_t>(is));
+      snap.bucket_count.push_back(get<std::uint64_t>(is));
     }
+    tl.histograms.push_back(std::move(snap));
+  }
 
-    const auto num_phases = get<std::uint32_t>(is);
-    tl.host_phases.reserve(num_phases);
-    for (std::uint32_t p = 0; p < num_phases; ++p) {
-      PhaseStats ps;
-      ps.name = get_str(is);
-      ps.depth = static_cast<int>(get<std::uint32_t>(is));
-      ps.calls = get<std::uint64_t>(is);
-      ps.inclusive_ns = get<std::uint64_t>(is);
-      ps.exclusive_ns = get<std::uint64_t>(is);
-      tl.host_phases.push_back(std::move(ps));
-    }
+  const auto num_manifest = get<std::uint32_t>(is);
+  tl.manifest.reserve(num_manifest);
+  for (std::uint32_t m = 0; m < num_manifest; ++m) {
+    std::string key = get_str(is);
+    std::string value = get_str(is);
+    tl.manifest.emplace_back(std::move(key), std::move(value));
+  }
 
-    const auto num_spans = get<std::uint32_t>(is);
-    tl.host_spans.reserve(num_spans);
-    for (std::uint32_t sp = 0; sp < num_spans; ++sp) {
-      HostWorkerSpan span;
-      span.worker = get<std::int32_t>(is);
-      span.point = get<std::uint64_t>(is);
-      span.t0_ns = get<std::uint64_t>(is);
-      span.t1_ns = get<std::uint64_t>(is);
-      tl.host_spans.push_back(span);
-    }
+  const auto num_phases = get<std::uint32_t>(is);
+  tl.host_phases.reserve(num_phases);
+  for (std::uint32_t p = 0; p < num_phases; ++p) {
+    PhaseStats ps;
+    ps.name = get_str(is);
+    ps.depth = static_cast<int>(get<std::uint32_t>(is));
+    ps.calls = get<std::uint64_t>(is);
+    ps.inclusive_ns = get<std::uint64_t>(is);
+    ps.exclusive_ns = get<std::uint64_t>(is);
+    tl.host_phases.push_back(std::move(ps));
+  }
 
-    const auto num_workers = get<std::uint32_t>(is);
-    tl.host_workers.reserve(num_workers);
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      HostWorkerStats stats;
-      stats.worker = get<std::int32_t>(is);
-      stats.points = get<std::uint64_t>(is);
-      stats.busy_ns = get<std::uint64_t>(is);
-      tl.host_workers.push_back(stats);
-    }
+  const auto num_spans = get<std::uint32_t>(is);
+  tl.host_spans.reserve(num_spans);
+  for (std::uint32_t sp = 0; sp < num_spans; ++sp) {
+    HostWorkerSpan span;
+    span.worker = get<std::int32_t>(is);
+    span.point = get<std::uint64_t>(is);
+    span.t0_ns = get<std::uint64_t>(is);
+    span.t1_ns = get<std::uint64_t>(is);
+    tl.host_spans.push_back(span);
+  }
+
+  const auto num_workers = get<std::uint32_t>(is);
+  tl.host_workers.reserve(num_workers);
+  for (std::uint32_t w = 0; w < num_workers; ++w) {
+    HostWorkerStats stats;
+    stats.worker = get<std::int32_t>(is);
+    stats.points = get<std::uint64_t>(is);
+    stats.busy_ns = get<std::uint64_t>(is);
+    tl.host_workers.push_back(stats);
   }
   return tl;
 }

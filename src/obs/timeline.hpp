@@ -21,18 +21,11 @@
 ///         u32 entities, then windows*entities values
 ///         (u64 deltas for counters, f64 for gauges)
 ///     u32 num_events; per event: u8 kind, i32 island, u64 t_ps, f64 a, f64 b
-///
-/// Version 2 appends (a v1 file reads back with both sections empty):
-///
 ///     u32 num_flights; per flight: u64 packet_id, i32 src, i32 dst,
 ///         i32 size_flits, u8 traffic_class, u64 create_t_ps,
 ///         u32 num_events; per event: u64 t_ps, i32 router, i32 arg, u8 stage
 ///     u32 num_histograms; per histogram: str label, u64 count, min, max,
 ///         u32 num_buckets; per bucket: u32 index, u64 count
-///
-/// Version 3 appends the host-observability sections (empty when reading
-/// a v1/v2 file):
-///
 ///     u32 num_manifest; per entry: str key, str value
 ///     u32 num_host_phases; per phase (preorder): str name, u32 depth,
 ///         u64 calls, inclusive_ns, exclusive_ns
@@ -69,8 +62,8 @@ namespace nocdvfs::obs {
 /// std::runtime_error on I/O failure.
 void write_timeline_binary(const Timeline& timeline, const std::string& path);
 
-/// Reads a binary timeline back. Throws std::runtime_error on a bad
-/// magic/version or a truncated file.
+/// Reads a binary timeline back. Throws std::runtime_error on a bad magic,
+/// any version other than Timeline::kVersion, or a truncated file.
 Timeline read_timeline_binary(const std::string& path);
 
 /// Writes the Perfetto / Chrome trace-event JSON view of `timeline`.

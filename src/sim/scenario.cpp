@@ -149,10 +149,6 @@ std::unique_ptr<traffic::TrafficModel> make_traffic(const Scenario& s,
                                                       s.f_node, s.seed);
     }
     case Scenario::Workload::Trace: {
-      if (s.trace_path.empty()) {
-        throw std::invalid_argument(
-            "Scenario: workload=trace requires trace=<path.noctrace>");
-      }
       trace::TraceReplayOptions opt;
       opt.scale = s.trace_scale;
       opt.loop = s.trace_loop;
@@ -162,14 +158,8 @@ std::unique_ptr<traffic::TrafficModel> make_traffic(const Scenario& s,
       opt.mesh_height = s.network.height;
       return std::make_unique<trace::TraceTraffic>(s.trace_path, opt);
     }
-    case Scenario::Workload::Custom: {
-      if (!s.traffic_factory) {
-        throw std::invalid_argument(
-            "Scenario: workload=custom requires a traffic_factory (assign "
-            "Scenario::traffic_factory before running)");
-      }
+    case Scenario::Workload::Custom:
       return s.traffic_factory(s);
-    }
   }
   throw std::invalid_argument("Scenario: unhandled workload variant");
 }
@@ -231,9 +221,7 @@ common::Picoseconds thermal_step_ps_from(const Scenario& s) {
   return static_cast<common::Picoseconds>(s.thermal_step_ns * 1000.0 + 0.5);
 }
 
-}  // namespace
-
-std::string island_config_problem(const Scenario& s) {
+std::string island_problem(const Scenario& s) {
   try {
     if (s.cdc_sync_cycles < 0) return "cdc_sync_cycles must be >= 0";
     const vfi::Preset preset = vfi::preset_from_string(s.islands);
@@ -255,7 +243,7 @@ std::string island_config_problem(const Scenario& s) {
   return "";
 }
 
-std::string topo_config_problem(const Scenario& s) {
+std::string topo_problem(const Scenario& s) {
   try {
     const auto [width, height] = effective_mesh_dims(s);
     const std::unique_ptr<topo::Topology> topo =
@@ -304,7 +292,7 @@ std::string topo_config_problem(const Scenario& s) {
   return "";
 }
 
-std::string telemetry_config_problem(const Scenario& s) {
+std::string telemetry_problem(const Scenario& s) {
   try {
     obs::telemetry_mode_from_string(s.telemetry);
   } catch (const std::exception& e) {
@@ -330,7 +318,7 @@ std::string telemetry_config_problem(const Scenario& s) {
   return "";
 }
 
-std::string thermal_config_problem(const Scenario& s) {
+std::string thermal_problem(const Scenario& s) {
   if (!s.thermal) return "";  // keys are inert with thermal=off
   std::ostringstream os;
   if (!(s.thermal_step_ns > 0.0)) return "thermal_step_ns must be > 0";
@@ -366,6 +354,22 @@ std::string thermal_config_problem(const Scenario& s) {
     }
   } catch (const std::exception& e) {
     return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string scenario_problem(const Scenario& s) {
+  for (const auto check : {island_problem, thermal_problem, topo_problem, telemetry_problem}) {
+    if (std::string problem = check(s); !problem.empty()) return problem;
+  }
+  if (s.workload == Scenario::Workload::Custom && !s.traffic_factory) {
+    return "workload=custom but no traffic_factory is set (assign "
+           "Scenario::traffic_factory, or install one per point via SweepAxis::custom)";
+  }
+  if (s.workload == Scenario::Workload::Trace && s.trace_path.empty()) {
+    return "workload=trace but no trace file is set (assign Scenario::trace_path)";
   }
   return "";
 }
@@ -552,17 +556,8 @@ Scenario Scenario::from_config(const common::Config& c) {
 }
 
 std::unique_ptr<Simulator> make_simulator(const Scenario& s) {
-  const std::string problem = island_config_problem(s);
-  if (!problem.empty()) throw std::invalid_argument("Scenario: " + problem);
-  const std::string thermal_problem = thermal_config_problem(s);
-  if (!thermal_problem.empty()) {
-    throw std::invalid_argument("Scenario: " + thermal_problem);
-  }
-  const std::string topo_problem = topo_config_problem(s);
-  if (!topo_problem.empty()) throw std::invalid_argument("Scenario: " + topo_problem);
-  const std::string telemetry_problem = telemetry_config_problem(s);
-  if (!telemetry_problem.empty()) {
-    throw std::invalid_argument("Scenario: " + telemetry_problem);
+  if (const std::string problem = scenario_problem(s); !problem.empty()) {
+    throw std::invalid_argument("Scenario: " + problem);
   }
 
   SimulatorConfig sim_cfg;

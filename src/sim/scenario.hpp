@@ -184,39 +184,21 @@ RunResult run(const Scenario& scenario);
 /// need to poke at the network or clock between phases.
 std::unique_ptr<Simulator> make_simulator(const Scenario& scenario);
 
-/// Validate the island-related scenario keys (preset name, custom map
-/// size/contiguity vs the *effective* mesh — an app workload pins its own
-/// dimensions — per-island policy list length, cdc_sync_cycles range).
-/// Returns an empty string when the configuration is runnable, else a
-/// human-readable description of the first problem. `make_simulator`
-/// throws it; `SweepRunner` prefixes it with the offending point/axis.
-std::string island_config_problem(const Scenario& scenario);
-
-/// Validate the topology/routing/fault scenario keys against each other:
-/// dimensions and concentration legal for the topology kind, the VC budget
-/// sufficient for the (topology, routing) deadlock-avoidance classes, the
-/// fault spec well-formed, thermal restricted to the plain mesh, and a
-/// VF-island partition that never splits a concentrated tile. Returns an
-/// empty string when runnable, else a human-readable description of the
-/// first problem. `make_simulator` throws it; `SweepRunner` prefixes it
-/// with the offending point/axis.
-std::string topo_config_problem(const Scenario& scenario);
-
-/// Validate the thermal scenario keys when `thermal=` is on (step vs the
-/// explicit-Euler stability bound for the effective mesh, cap vs ambient,
-/// RC/coefficient ranges). Returns an empty string when runnable, else a
-/// human-readable description of the first problem. With `thermal=off`
-/// the keys are inert and never rejected. `make_simulator` throws it;
-/// `SweepRunner` prefixes it with the offending point/axis.
-std::string thermal_config_problem(const Scenario& scenario);
-
-/// Validate the telemetry scenario keys (`telemetry=` mode name, and a
-/// `telemetry_out=` that needs a non-off mode to have any effect is
-/// allowed but the inverse — a bad mode string — is not). Returns an empty
-/// string when runnable, else a human-readable description of the first
-/// problem. `make_simulator` throws it; `SweepRunner` prefixes it with the
-/// offending point/axis.
-std::string telemetry_config_problem(const Scenario& scenario);
+/// Validate a scenario before anything is built: "" when it is runnable,
+/// else a human-readable description of the first problem, checked in
+/// this order —
+///  - islands: preset, custom map vs the *effective* mesh (an app workload
+///    pins its own), per-island policy count, cdc_sync_cycles range;
+///  - thermal (with `thermal=on` only; the keys are inert otherwise): step
+///    vs the explicit-Euler stability bound, cap vs ambient, RC ranges;
+///  - topology: shape and concentration, VCs for the routing's
+///    deadlock-avoidance classes, fault spec, thermal only on the plain
+///    mesh, no island splitting a concentrated tile;
+///  - telemetry and the host on/off keys;
+///  - workload inputs: `traffic_factory` for custom, `trace_path` for trace.
+/// `make_simulator` throws it; `SweepRunner` prefixes it with the offending
+/// point/axis.
+std::string scenario_problem(const Scenario& scenario);
 
 /// Nominal mean offered load (flits/node-cycle/node). For app workloads
 /// this derives from the task-graph rate matrix at the scenario's speed

@@ -104,12 +104,8 @@ struct RunPhases {
 
 class Simulator {
  public:
-  /// Single-domain convenience (the paper's configuration): requires the
-  /// network config to describe exactly one island.
-  Simulator(const SimulatorConfig& cfg, std::unique_ptr<traffic::TrafficModel> traffic,
-            std::unique_ptr<dvfs::DvfsController> controller, power::VfCurve curve);
-
-  /// Island-partitioned form: one controller per island, in island order.
+  /// One controller per island, in island order (exactly one for the
+  /// paper's single-domain configuration).
   Simulator(const SimulatorConfig& cfg, std::unique_ptr<traffic::TrafficModel> traffic,
             std::vector<std::unique_ptr<dvfs::DvfsController>> controllers,
             power::VfCurve curve);
@@ -118,12 +114,7 @@ class Simulator {
 
   noc::Network& network() noexcept { return net_; }
   const noc::Network& network() const noexcept { return net_; }
-  int num_islands() const noexcept { return bank_.num_islands(); }
-  const dvfs::DvfsManager& dvfs_manager() const noexcept { return bank_.manager(0); }
-  const dvfs::DvfsManager& dvfs_manager(int island) const { return bank_.manager(island); }
-  const MultiClock& clock() const noexcept { return clock_; }
   const SimulatorConfig& config() const noexcept { return cfg_; }
-  const power::EnergyModel& energy_model() const noexcept { return energy_; }
 
  private:
   SimulatorConfig cfg_;

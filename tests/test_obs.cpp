@@ -499,11 +499,11 @@ TEST(TelemetryOffPath, WindowsModeIsMetricsInvisible) {
 TEST(TelemetryScenario, ValidatesModeAndDefaultsOff) {
   sim::Scenario s = small_base();
   s.telemetry = "bogus";
-  EXPECT_FALSE(sim::telemetry_config_problem(s).empty());
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
   EXPECT_THROW(sim::make_simulator(s), std::invalid_argument);
   sim::Scenario d;
   EXPECT_EQ(d.telemetry, "off");
-  EXPECT_TRUE(sim::telemetry_config_problem(d).empty());
+  EXPECT_TRUE(sim::scenario_problem(d).empty());
 }
 
 }  // namespace

@@ -29,7 +29,11 @@ namespace {
 // ---------------------------------------------------------------------------
 // Global allocation counter (for the off-mode zero-allocation test). The
 // replacement operators delegate to malloc/free, so every other test runs
-// through them too — harmless, they only add a relaxed counter bump.
+// through them too — harmless, they only add a relaxed counter bump. The
+// nothrow forms are replaced as well: the standard library allocates
+// temporary buffers (std::inplace_merge) through them and frees those with
+// a plain delete, so leaving them to the default would pair a library
+// operator new with this file's free().
 // ---------------------------------------------------------------------------
 
 std::atomic<std::uint64_t> g_allocations{0};
@@ -42,10 +46,19 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace nocdvfs {
 namespace {
@@ -296,7 +309,7 @@ TEST(HostResult, ProfOffLeavesProfileEmptyButManifestPresent) {
 }
 
 // ---------------------------------------------------------------------------
-// .nocobs v3 round-trip & cross-tool magic diagnostics
+// .nocobs v3 round-trip, version check & cross-tool magic diagnostics
 // ---------------------------------------------------------------------------
 
 Timeline host_only_timeline() {
@@ -355,6 +368,30 @@ TEST(TimelineV3, ExportedRunCarriesManifestAndPhases) {
   EXPECT_NE(j.find("\"cat\":\"host\""), std::string::npos);
   std::filesystem::remove(base + ".nocobs");
   std::filesystem::remove(base + ".json");
+}
+
+TEST(TimelineV3, OtherVersionsAreRejectedNamingFoundAndSupported) {
+  const std::string path = tmp_path("nocdvfs_test_old_version.nocobs");
+  obs::write_timeline_binary(host_only_timeline(), path);
+  for (const std::uint32_t version : {1u, 2u, Timeline::kVersion + 1}) {
+    {
+      // The u32 version follows the 4-byte magic, little-endian.
+      std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+      fs.seekp(4);
+      for (int b = 0; b < 4; ++b) fs.put(static_cast<char>((version >> (8 * b)) & 0xFF));
+    }
+    try {
+      obs::read_timeline_binary(path);
+      FAIL() << "expected a version error for v" << version;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("version " + std::to_string(version)), std::string::npos) << msg;
+      EXPECT_NE(msg.find("supports version " + std::to_string(Timeline::kVersion)),
+                std::string::npos)
+          << msg;
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(MagicMismatch, TimelineReaderNamesTheTraceToolForNoctraceFiles) {

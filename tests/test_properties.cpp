@@ -52,14 +52,14 @@ TEST_P(NetworkPropertySweep, RandomTrafficConservesAndDrains) {
                                  packet_size(), net.cycle() * 1000, net.cycle());
       }
     }
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
     // Conservation must hold every cycle.
     ASSERT_EQ(net.total_flits_injected(), net.total_flits_ejected() + net.flits_in_network());
   }
   // Drain phase.
   for (int cyc = 0; cyc < 30000 && net.flits_in_network() + net.total_source_backlog_flits() > 0;
        ++cyc) {
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
   }
   EXPECT_EQ(net.flits_in_network(), 0u);
   EXPECT_EQ(net.total_flits_ejected(), net.total_flits_generated());
@@ -75,10 +75,10 @@ TEST_P(NetworkPropertySweep, EveryPacketArrivesIntactAtItsDestination) {
     const auto s = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
     const auto d = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
     net.ni(s).enqueue_packet(d, packet_size(), net.cycle() * 1000, net.cycle());
-    for (int cyc = 0; cyc < 12; ++cyc) net.step((net.cycle() + 1) * 1000);
+    for (int cyc = 0; cyc < 12; ++cyc) net.step_island(0, (net.cycle() + 1) * 1000);
   }
   for (int cyc = 0; cyc < 20000 && net.total_packets_ejected() < 40; ++cyc) {
-    net.step((net.cycle() + 1) * 1000);
+    net.step_island(0, (net.cycle() + 1) * 1000);
   }
   ASSERT_EQ(net.delivered().size(), 40u);
   for (const auto& rec : net.delivered()) {

@@ -221,8 +221,8 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
         ++generated_packets;
       }
     }
-    on.step(static_cast<common::Picoseconds>(c) * 1000);
-    off.step(static_cast<common::Picoseconds>(c) * 1000);
+    on.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
+    off.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
     for (int r = 0; r < on.num_routers(); ++r) {
       ASSERT_NO_THROW(on.router_at(r).check_invariants()) << "cycle " << c;
       ASSERT_NO_THROW(off.router_at(r).check_invariants()) << "cycle " << c;
@@ -332,7 +332,7 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
         net.ni(src).enqueue_packet(dst, 5, static_cast<common::Picoseconds>(c) * 1000, c);
       }
     }
-    net.step(static_cast<common::Picoseconds>(c) * 1000);
+    net.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
     for (int r = 0; r < net.num_routers(); ++r) {
       ASSERT_NO_THROW(net.router_at(r).check_invariants()) << "cycle " << c;
     }

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
 #include "traffic/request_reply.hpp"
 
 namespace nocdvfs::sim {
@@ -160,6 +164,58 @@ TEST(ScenarioSimulator, MakeSimulatorExposesComposition) {
   ASSERT_NE(simulator, nullptr);
   EXPECT_EQ(simulator->config().network.width, 3);
   EXPECT_EQ(simulator->config().control_period_node_cycles, 2000u);
+}
+
+TEST(ScenarioValidation, SimulatorAndSweepReportTheSameProblem) {
+  // One bad scenario per validated area; both entry points must surface
+  // scenario_problem's text verbatim.
+  struct Case {
+    const char* area;
+    Scenario scenario;
+  };
+  std::vector<Case> cases;
+  Scenario s = small_synthetic();
+  s.islands = "bogus";
+  cases.push_back({"islands", s});
+  s = small_synthetic();
+  s.thermal = true;
+  s.rc_lateral = 0.0;
+  cases.push_back({"thermal", s});
+  s = small_synthetic();
+  s.network.faults = "links:nope";
+  cases.push_back({"topology", s});
+  s = small_synthetic();
+  s.hist = "maybe";
+  cases.push_back({"telemetry", s});
+  s = small_synthetic();
+  s.workload = Scenario::Workload::Custom;
+  cases.push_back({"custom workload", s});
+  s = small_synthetic();
+  s.workload = Scenario::Workload::Trace;
+  cases.push_back({"trace workload", s});
+
+  for (const Case& c : cases) {
+    const std::string problem = scenario_problem(c.scenario);
+    ASSERT_FALSE(problem.empty()) << c.area;
+    std::string from_simulator, from_sweep;
+    try {
+      make_simulator(c.scenario);
+    } catch (const std::invalid_argument& e) {
+      from_simulator = e.what();
+    }
+    try {
+      SweepRunner runner;
+      runner.run(c.scenario, {});
+    } catch (const std::invalid_argument& e) {
+      from_sweep = e.what();
+    }
+    EXPECT_EQ(from_simulator, "Scenario: " + problem) << c.area;
+    const std::string tail = ": " + problem;
+    ASSERT_GE(from_sweep.size(), tail.size()) << c.area << ": " << from_sweep;
+    EXPECT_EQ(from_sweep.substr(from_sweep.size() - tail.size()), tail) << c.area;
+    EXPECT_EQ(from_sweep.rfind("SweepRunner: cannot run sweep point #0", 0), 0u) << from_sweep;
+  }
+  EXPECT_EQ(scenario_problem(small_synthetic()), "");
 }
 
 }  // namespace
