@@ -2,8 +2,25 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 namespace nocdvfs::noc {
+
+namespace {
+
+/// Auto mode's minimum awake tiles per worker (K in ARCHITECTURE
+/// "Tile-parallel stepping", where its measurement is recorded).
+constexpr std::size_t kTilesPerWorker = 64;
+
+/// Hardware threads, read once per process: the query can cost a file
+/// read, and auto mode would otherwise make it on every island step.
+int hardware_workers() {
+  static const int n = static_cast<int>(std::clamp(
+      std::thread::hardware_concurrency(), 1u, static_cast<unsigned>(WorkerPool::kMaxSize)));
+  return n;
+}
+
+}  // namespace
 
 int NetworkConfig::num_islands() const noexcept {
   if (island_of.empty()) return 1;
@@ -14,6 +31,9 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
   if (cfg.link_latency < 1) throw std::invalid_argument("Network: link_latency must be >= 1");
   if (cfg.cdc_sync_cycles < 0) {
     throw std::invalid_argument("Network: cdc_sync_cycles must be >= 0");
+  }
+  if (cfg.tile_workers < 0 || cfg.tile_workers > WorkerPool::kMaxSize) {
+    throw std::invalid_argument("Network: tile_workers must be in [0, 255]");
   }
   // Physical structure (validates width/height/concentration per kind).
   topol_ = topo::Topology::make(cfg.topology, cfg.width, cfg.height, cfg.concentration);
@@ -104,8 +124,15 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
   // fifo is read (and therefore clocked) by the receiver's island, the
   // credit fifo by the sender's. Each channel is also indexed by the tile
   // that pops it — flits by the downstream tile, credits by the upstream —
-  // which is the per-tile tick/quiescence set of the skip-idle path.
+  // which is the per-tile quiescence set of the skip-idle path.
   node_read_.resize(static_cast<std::size_t>(num_r));
+  for (int r = 0; r < num_r; ++r) {
+    // Every tile reads a flit and a credit channel per network port, and
+    // four channels per NI (reserved up front: set-up time is measured).
+    node_read_[static_cast<std::size_t>(r)].reserve(
+        2 * static_cast<std::size_t>(topol_->num_net_ports(r)) +
+        4 * tile_nis_[static_cast<std::size_t>(r)].size());
+  }
   for (int r = 0; r < num_r; ++r) {
     const int src_island = router_island_[static_cast<std::size_t>(r)];
     const int net_ports = topol_->num_net_ports(r);
@@ -158,8 +185,7 @@ Network::Network(const NetworkConfig& cfg) : cfg_(cfg), topo_(cfg.width, cfg.hei
 
   // Skip-idle stepping: every tile starts awake (the first quiet cycles
   // park them) and every component reports its pushes. With skip_idle off
-  // the sinks stay null and the per-island channel lists above drive the
-  // ticks.
+  // the sinks stay null and every tile is stepped every cycle.
   skip_idle_ = cfg.skip_idle;
   node_awake_.assign(static_cast<std::size_t>(num_r), skip_idle_ ? 1 : 0);
   if (skip_idle_) {
@@ -191,31 +217,26 @@ void Network::apply_due_faults(std::uint64_t cycle, common::Picoseconds now) {
 }
 
 FlitChannel& Network::new_flit_channel(int latency, int island) {
-  flit_channels_.emplace_back(latency);
-  islands_[static_cast<std::size_t>(island)].flit_lines.push_back(&flit_channels_.back());
-  return flit_channels_.back();
+  return flit_channels_.emplace_back(latency, &island_cycles_[static_cast<std::size_t>(island)]);
 }
 
 CreditChannel& Network::new_credit_channel(int latency, int island) {
-  credit_channels_.emplace_back(latency);
-  islands_[static_cast<std::size_t>(island)].credit_lines.push_back(&credit_channels_.back());
-  return credit_channels_.back();
+  return credit_channels_.emplace_back(latency,
+                                       &island_cycles_[static_cast<std::size_t>(island)]);
 }
 
 FlitCdcFifo& Network::new_cdc_flit_channel(int ready_delay, int reader_island) {
-  cdc_flit_channels_.emplace_back(ready_delay,
-                                  cfg_.num_vcs * cfg_.vc_buffer_depth + 2);
-  islands_[static_cast<std::size_t>(reader_island)].cdc_flit_in.push_back(
-      &cdc_flit_channels_.back());
-  return cdc_flit_channels_.back();
+  const auto i = static_cast<std::size_t>(reader_island);
+  FlitCdcFifo& ch = cdc_flit_channels_.emplace_back(
+      ready_delay, cfg_.num_vcs * cfg_.vc_buffer_depth + 2, &island_cycles_[i]);
+  islands_[i].cdc_flit_in.push_back(&ch);
+  return ch;
 }
 
 CreditCdcFifo& Network::new_cdc_credit_channel(int ready_delay, int reader_island) {
-  cdc_credit_channels_.emplace_back(ready_delay,
-                                    cfg_.num_vcs * cfg_.vc_buffer_depth + 2);
-  islands_[static_cast<std::size_t>(reader_island)].cdc_credit_in.push_back(
-      &cdc_credit_channels_.back());
-  return cdc_credit_channels_.back();
+  return cdc_credit_channels_.emplace_back(ready_delay,
+                                           cfg_.num_vcs * cfg_.vc_buffer_depth + 2,
+                                           &island_cycles_[static_cast<std::size_t>(reader_island)]);
 }
 
 void Network::set_injection_observer(InjectionObserver observer) {
@@ -240,24 +261,42 @@ void Network::step_island(int island, common::Picoseconds now) {
 void Network::tick_island(int island) {
   Island& isl = islands_.at(static_cast<std::size_t>(island));
   ++island_cycles_[static_cast<std::size_t>(island)];
-  if (!skip_idle_) {
-    // Always-step discipline: advance every channel this island clocks.
-    for (FlitChannel* ch : isl.flit_lines) ch->tick();
-    for (FlitCdcFifo* ch : isl.cdc_flit_in) ch->tick();
-    for (CreditChannel* ch : isl.credit_lines) ch->tick();
-    for (CreditCdcFifo* ch : isl.cdc_credit_in) ch->tick();
-    return;
-  }
-  // Skip-idle: admit tiles woken since the previous edge, then advance only
-  // the channels awake tiles read. A parked tile's channels are all empty
-  // (that is the parking condition), and empty channels measure delay in
-  // reader ticks since the push, so not ticking them is unobservable.
+  if (!skip_idle_) return;
+  // Admit tiles woken since the previous edge. Channels need no advancing:
+  // they read this island's cycle count, and wake-on-push guarantees a
+  // parked reader is awake again from the edge after any push — before its
+  // item can be due, since every channel delays by at least one cycle.
   if (!isl.newly_awake.empty()) admit_woken(isl);
   isl.idle_steps_skipped +=
       static_cast<std::uint64_t>(isl.tiles.size() - isl.active.size());
-  for (const NodeId id : isl.active) {
-    for (ChannelBase* ch : node_read_[static_cast<std::size_t>(id)]) ch->tick();
+}
+
+int Network::workers_for(std::size_t awake, std::size_t previous) const {
+  if (flight_recorder_ != nullptr || awake < 2) return 1;
+  if (cfg_.tile_workers > 0) {
+    return static_cast<int>(std::min(awake, static_cast<std::size_t>(cfg_.tile_workers)));
   }
+  // Auto mode sizes the pass by the smaller of this pass and the previous
+  // one: a one-cycle spike of idle tiles (every tile is awake on the first
+  // cycle, then parks) is not worth starting — or creating — the pool.
+  const std::size_t by_work = std::min(awake, previous) / kTilesPerWorker;
+  if (by_work < 2) return 1;
+  return static_cast<int>(std::min(by_work, static_cast<std::size_t>(hardware_workers())));
+}
+
+void Network::step_tile(NodeId tile, WakeSink* wakes, std::vector<PacketRecord>* delivered,
+                        common::Picoseconds now, std::uint64_t cycle) {
+  Router& r = *routers_[static_cast<std::size_t>(tile)];
+  const std::vector<NodeId>& nis = tile_nis_[static_cast<std::size_t>(tile)];
+  r.set_wake_sink(wakes);
+  r.receive_phase();
+  for (const NodeId nd : nis) {
+    NetworkInterface& ni = *nis_[static_cast<std::size_t>(nd)];
+    ni.set_delivered_sink(delivered);
+    ni.receive_phase(now, cycle);
+  }
+  r.compute_phase();
+  for (const NodeId nd : nis) nis_[static_cast<std::size_t>(nd)]->inject_phase();
 }
 
 void Network::run_island_phases(int island, common::Picoseconds now) {
@@ -268,20 +307,43 @@ void Network::run_island_phases(int island, common::Picoseconds now) {
   // phases of the cycle they are due.
   if (fault_pending_ && island == 0 && faults_->due(cycle)) apply_due_faults(cycle, now);
   // `active` is sorted ascending, so with skip-idle on the awake tiles are
-  // phased in exactly the order the tile loops would visit them — the
-  // delivery order (and every float accumulation downstream of it) cannot
-  // tell the two disciplines apart.
+  // stepped in exactly the order the full tile list would visit them.
   const std::vector<NodeId>& tiles = skip_idle_ ? isl.active : isl.tiles;
-  for (const NodeId t : tiles) routers_[static_cast<std::size_t>(t)]->receive_phase();
-  for (const NodeId t : tiles) {
-    for (const NodeId nd : tile_nis_[static_cast<std::size_t>(t)]) {
-      nis_[static_cast<std::size_t>(nd)]->receive_phase(now, cycle);
+  const int workers = workers_for(tiles.size(), isl.last_pass_tiles);
+  isl.last_pass_tiles = tiles.size();
+  // Contiguous ranges in ascending tile order: worker w's delivered
+  // records all precede worker w+1's, so concatenating the buffers in
+  // worker order replays the serial delivery sequence.
+  const std::size_t n = tiles.size();
+  auto job = [&](int w) {
+    const auto wi = static_cast<std::size_t>(w);
+    WakeSink* wakes = skip_idle_ ? this : nullptr;
+    std::vector<PacketRecord>* delivered = &delivered_;
+    if (w != 0) {
+      WorkerSinks& sinks = worker_sinks_[wi];
+      sinks.wakes.tiles.clear();
+      sinks.delivered.clear();
+      if (skip_idle_) wakes = &sinks.wakes;
+      delivered = &sinks.delivered;
     }
-  }
-  for (const NodeId t : tiles) routers_[static_cast<std::size_t>(t)]->compute_phase();
-  for (const NodeId t : tiles) {
-    for (const NodeId nd : tile_nis_[static_cast<std::size_t>(t)]) {
-      nis_[static_cast<std::size_t>(nd)]->inject_phase();
+    const std::size_t end = n * (wi + 1) / static_cast<std::size_t>(workers);
+    for (std::size_t i = n * wi / static_cast<std::size_t>(workers); i < end; ++i) {
+      step_tile(tiles[i], wakes, delivered, now, cycle);
+    }
+  };
+  if (workers == 1) {
+    job(0);
+  } else {
+    if (!pool_) {
+      pool_ = std::make_unique<WorkerPool>(cfg_.tile_workers > 0 ? cfg_.tile_workers
+                                                                : hardware_workers());
+      worker_sinks_.resize(static_cast<std::size_t>(pool_->size()));
+    }
+    pool_->run(workers, job);
+    for (int w = 1; w < workers; ++w) {
+      const WorkerSinks& sinks = worker_sinks_[static_cast<std::size_t>(w)];
+      for (const NodeId t : sinks.wakes.tiles) wake(t);
+      delivered_.insert(delivered_.end(), sinks.delivered.begin(), sinks.delivered.end());
     }
   }
   if (skip_idle_) park_quiescent(isl);

@@ -21,11 +21,19 @@
 /// With a voltage–frequency-island partition (`NetworkConfig::island_of`)
 /// each island is stepped independently via `step_island()` whenever *its*
 /// clock fires. Links whose endpoints live in different islands become
-/// clock-domain crossings: an asynchronous FIFO (`CdcFifo`) ticked by the
-/// receiving domain, charging `cdc_sync_cycles` receiver cycles of
-/// synchronizer latency on top of the link pipeline — in both the flit
-/// direction and the reverse credit direction. All NIs of a tile must
+/// clock-domain crossings: an asynchronous FIFO (`CdcFifo`) timed by the
+/// receiving domain's cycle count, charging `cdc_sync_cycles` receiver
+/// cycles of synchronizer latency on top of the link pipeline — in both the
+/// flit direction and the reverse credit direction. All NIs of a tile must
 /// share their router's island (the partition may not split a tile).
+///
+/// One island cycle steps each awake tile in one fused pass — router
+/// receive → NI receive → router compute → NI inject — and splits the
+/// awake tiles into contiguous ranges run on a persistent worker pool
+/// (`NetworkConfig::tile_workers`). Every channel delivers at least one
+/// reader cycle after its push, so no tile can observe another tile's
+/// pushes of the same cycle, and the result is bit-identical to stepping
+/// the tiles one by one.
 ///
 /// A `FaultModel` (NetworkConfig::faults) injects link/router failures at
 /// construction or mid-run, keyed to island 0's clock. When an epoch
@@ -45,6 +53,7 @@
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
+#include "noc/worker_pool.hpp"
 #include "obs/telemetry.hpp"
 #include "power/activity.hpp"
 #include "power/power_model.hpp"
@@ -79,12 +88,22 @@ struct NetworkConfig {
   /// cycles (applies to flits and returning credits alike).
   int cdc_sync_cycles = 2;
 
-  /// Skip router/NI phases and channel ticks for quiescent tiles (empty
-  /// buffers, idle NIs, nothing in flight on any channel the tile reads).
-  /// Bit-identical to always-stepping — the golden-metrics suite gates
-  /// that — but far cheaper at low load. `false` restores the
-  /// step-everything discipline (the in-tree comparison path).
+  /// Skip router/NI phases for quiescent tiles (empty buffers, idle NIs,
+  /// nothing in flight on any channel the tile reads). Bit-identical to
+  /// always-stepping — the golden-metrics suite gates that — but far
+  /// cheaper at low load. `false` restores the step-everything discipline
+  /// (the in-tree comparison path).
   bool skip_idle = true;
+
+  /// Workers that step one island cycle's awake tiles in parallel (the
+  /// calling thread is one of them). 0 = auto: min(hardware threads,
+  /// awake tiles / K) with K awake tiles per worker measured once (see
+  /// ARCHITECTURE "Tile-parallel stepping"), so small or idle islands
+  /// stay serial. N >= 1 = N workers whenever the island has at least N
+  /// awake tiles (1 = always serial); at most WorkerPool::kMaxSize.
+  /// Metrics-invisible for every value. A sweep that already runs points
+  /// on several threads sets 1 for its points.
+  int tile_workers = 0;
 
   int num_nodes() const noexcept { return width * height; }
   int num_islands() const noexcept;
@@ -101,19 +120,24 @@ class Network : public WakeSink {
   Network& operator=(const Network&) = delete;
 
   /// Advance island `island` by one cycle of its own clock at master time
-  /// `now`: tick its channels (including CDC fifos it reads from), then
-  /// run the router/NI phases of its member tiles. When several islands
-  /// fire at the same instant, use the split form below instead.
+  /// `now`: advance its cycle count, then run the router/NI phases of its
+  /// awake tiles. When several islands fire at the same instant, use the
+  /// split form below instead.
   void step_island(int island, common::Picoseconds now);
 
   /// Split form for coincident edges: tick *every* fired island first,
-  /// then run every fired island's phases. Ticking before any phases
-  /// guarantees a CDC fifo's reader-side tick at instant t never counts
-  /// towards the synchronizer delay of an item pushed at that same
-  /// instant — otherwise a crossing from an island stepped earlier in the
-  /// same instant would deliver one receiver cycle early (zero link
+  /// then run every fired island's phases. `tick_island` advances the
+  /// island's cycle count (which every channel it reads is timed by),
+  /// admits the tiles woken since its last edge and counts the skipped
+  /// tile steps. Ticking before any phases guarantees that a CDC fifo
+  /// push at instant t is timed from the reader's cycle count *after* its
+  /// edge at t — otherwise a crossing from an island stepped earlier in
+  /// the same instant would deliver one receiver cycle early (zero link
   /// latency at cdc_sync_cycles=0).
   void tick_island(int island);
+  /// One fused pass over the island's awake tiles, on up to
+  /// `tile_workers` threads. An exception thrown while stepping any tile
+  /// (an invariant violation) is rethrown here on the calling thread.
   void run_island_phases(int island, common::Picoseconds now);
 
   std::uint64_t cycle() const noexcept { return island_cycles_[0]; }
@@ -275,14 +299,11 @@ class Network : public WakeSink {
   struct Island {
     std::vector<NodeId> members;             ///< ascending node (NI) ids
     std::vector<NodeId> tiles;               ///< ascending tile (router) ids
-    std::vector<FlitChannel*> flit_lines;    ///< intra-island flit delay lines
-    std::vector<CreditChannel*> credit_lines;
-    std::vector<FlitCdcFifo*> cdc_flit_in;     ///< boundary flit fifos this island reads
-    std::vector<CreditCdcFifo*> cdc_credit_in; ///< boundary credit fifos this island reads
+    std::vector<FlitCdcFifo*> cdc_flit_in;   ///< boundary flit fifos this island reads
     int links_sourced = 0;  ///< directed inter-router links driven by this island
 
     // Skip-idle state, in tile ids. `active` is kept sorted ascending so
-    // the phase loops visit awake tiles in exactly the tile order — the
+    // the pass visits awake tiles in exactly the tile order — the
     // delivered-record sequence (and with it every order-sensitive float
     // accumulation in the metrics layer) is bit-identical to stepping
     // everyone. `newly_awake` absorbs wake() calls between this island's
@@ -292,12 +313,34 @@ class Network : public WakeSink {
     std::vector<NodeId> active;
     std::vector<NodeId> newly_awake;
     std::uint64_t idle_steps_skipped = 0;
+    std::size_t last_pass_tiles = 0;  ///< tiles stepped in the previous cycle
+  };
+
+  /// Records wakes for replay into `Network::wake` after the join.
+  struct WakeBuffer final : WakeSink {
+    std::vector<NodeId> tiles;
+    void wake(NodeId tile) override { tiles.push_back(tile); }
+  };
+  /// A helper worker's private sinks for one parallel pass: the wakes and
+  /// delivered records of the tiles it stepped, merged after the join.
+  struct WorkerSinks {
+    WakeBuffer wakes;
+    std::vector<PacketRecord> delivered;
   };
 
   FlitChannel& new_flit_channel(int latency, int island);
   CreditChannel& new_credit_channel(int latency, int island);
   FlitCdcFifo& new_cdc_flit_channel(int ready_delay, int reader_island);
   CreditCdcFifo& new_cdc_credit_channel(int ready_delay, int reader_island);
+
+  /// Workers for a pass over `awake` tiles when the island's previous
+  /// pass stepped `previous` (1 = serial; see tile_workers).
+  int workers_for(std::size_t awake, std::size_t previous) const;
+  /// One tile's cycle: router receive → NI receive → router compute → NI
+  /// inject, with the router's wakes and the NIs' deliveries sent to the
+  /// stepping worker's sinks.
+  void step_tile(NodeId tile, WakeSink* wakes, std::vector<PacketRecord>* delivered,
+                 common::Picoseconds now, std::uint64_t cycle);
 
   /// Sorted-merge `newly_awake` into `active` (amortized O(new·log new)).
   void admit_woken(Island& isl);
@@ -338,13 +381,17 @@ class Network : public WakeSink {
   std::vector<obs::LinkInfo> net_links_;  ///< directed links in wiring order
   std::vector<FaultEpochRecord> fault_epochs_;
 
+  /// Created at the first parallel pass (never during construction, which
+  /// the set-up time includes); helpers 1..n−1 of a pass use
+  /// `worker_sinks_[w]`, worker 0 the network's own sinks.
+  std::unique_ptr<WorkerPool> pool_;
+  std::vector<WorkerSinks> worker_sinks_;
+
   bool skip_idle_ = true;
   std::vector<std::uint8_t> node_awake_;  ///< per tile: on an active/newly_awake list
   /// Per tile: every channel popped in that tile's clock domain (its
-  /// router's flit/credit inputs plus its NIs' eject/credit inputs). The
-  /// skip-idle tick advances exactly these for awake tiles — eliding the
-  /// tick of a parked tile's empty channels is unobservable because both
-  /// channel kinds delay in reader ticks *since the push* (see ChannelBase).
+  /// router's flit/credit inputs plus its NIs' eject/credit inputs) — the
+  /// in-flight half of the parking condition.
   std::vector<std::vector<ChannelBase*>> node_read_;
 };
 

@@ -88,6 +88,12 @@ class NetworkInterface {
     injection_observer_ = observer;
   }
 
+  /// Redirect the records of packets this NI delivers (non-null). The
+  /// Network points each NI at the sink of the worker stepping its tile.
+  void set_delivered_sink(std::vector<PacketRecord>* sink) noexcept {
+    delivered_sink_ = sink;
+  }
+
   /// Install the skip-idle wake receiver (nullptr = no notifications).
   /// `enqueue_packet` runs in the *node* clock domain while the NoC side
   /// of this node may be parked, so it must announce the new work.

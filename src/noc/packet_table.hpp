@@ -11,8 +11,19 @@
 /// under faults. Released slots are reused LIFO from a free list, so the
 /// table grows lazily to the peak number of packets in flight and never
 /// shrinks; slot numbers are not observable in any result.
+///
+/// Thread safety: tile-parallel stepping acquires and releases from
+/// several workers at once, so both take a mutex. Storage is a list of
+/// doubling chunks that never move once allocated, so `operator[]` needs
+/// no lock: a slot's entry is written by its acquirer before the slot
+/// number reaches any other thread (inside a flit, across a step barrier).
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -23,41 +34,77 @@ namespace nocdvfs::noc {
 class PacketTable {
  public:
   std::uint32_t acquire(const PacketInfo& info) {
-    ++live_;
-    if (!free_.empty()) {
-      const std::uint32_t slot = free_.back();
-      free_.pop_back();
-      slots_[slot] = info;
-      return slot;
+    std::uint32_t slot = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++live_;
+      if (!free_.empty()) {
+        slot = free_.back();
+        free_.pop_back();
+      } else {
+        slot = size_.load();
+        const auto c = static_cast<std::size_t>(chunk_of(slot));
+        if (!owned_[c]) {
+          owned_[c] = std::make_unique<PacketInfo[]>(chunk_size(static_cast<int>(c)));
+          chunks_[c].store(owned_[c].get());
+        }
+        size_.store(slot + 1);
+      }
     }
-    slots_.push_back(info);
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    entry(slot) = info;  // the slot is this caller's alone until released
+    return slot;
   }
 
   void release(std::uint32_t slot) {
-    NOCDVFS_ASSERT(slot < slots_.size() && live_ > 0, "PacketTable: release of a free slot");
+    std::lock_guard<std::mutex> lock(mutex_);
+    NOCDVFS_ASSERT(slot < size_.load() && live_ > 0, "PacketTable: release of a free slot");
     --live_;
     free_.push_back(slot);
   }
 
   const PacketInfo& operator[](std::uint32_t slot) const {
-    NOCDVFS_ASSERT(slot < slots_.size(), "PacketTable: slot out of range");
-    return slots_[slot];
+    NOCDVFS_ASSERT(slot < size_.load(), "PacketTable: slot out of range");
+    return entry(slot);
   }
 
   /// Packets currently holding a slot.
   std::size_t live() const noexcept { return live_; }
   /// Slots ever created (the high-water mark of `live()`).
-  std::size_t capacity() const noexcept { return slots_.size(); }
-  /// Heap bytes held by the table (slab plus free list).
+  std::size_t capacity() const noexcept { return size_.load(); }
+  /// Heap bytes held by the table (allocated chunks plus free list).
   std::size_t bytes() const noexcept {
-    return slots_.capacity() * sizeof(PacketInfo) + free_.capacity() * sizeof(std::uint32_t);
+    std::size_t n = free_.capacity() * sizeof(std::uint32_t);
+    for (int c = 0; c < kChunks; ++c) {
+      if (owned_[static_cast<std::size_t>(c)]) n += chunk_size(c) * sizeof(PacketInfo);
+    }
+    return n;
   }
 
  private:
-  std::vector<PacketInfo> slots_;
+  /// Chunk c holds kFirstChunk << c slots, starting at slot
+  /// kFirstChunk · (2^c − 1); 27 chunks cover the whole 32-bit slot space.
+  static constexpr std::uint32_t kFirstChunk = 64;
+  static constexpr int kChunks = 27;
+
+  static int chunk_of(std::uint32_t slot) noexcept {
+    return std::bit_width(static_cast<std::uint64_t>(slot) / kFirstChunk + 1) - 1;
+  }
+  static std::size_t chunk_size(int c) noexcept { return std::size_t{kFirstChunk} << c; }
+
+  PacketInfo& entry(std::uint32_t slot) const noexcept {
+    const int c = chunk_of(slot);
+    const std::uint64_t first = std::uint64_t{kFirstChunk} * ((std::uint64_t{1} << c) - 1);
+    return chunks_[static_cast<std::size_t>(c)].load()[slot - first];
+  }
+
+  std::mutex mutex_;  ///< guards the four members below
+  std::array<std::unique_ptr<PacketInfo[]>, kChunks> owned_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
+  std::atomic<std::uint32_t> size_{0};  ///< slots ever created; written under the lock
+  /// `owned_` as plain pointers, read without the lock; a chunk is
+  /// published before any slot in it is handed out.
+  std::array<std::atomic<PacketInfo*>, kChunks> chunks_{};
 };
 
 }  // namespace nocdvfs::noc

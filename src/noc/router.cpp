@@ -64,6 +64,8 @@ Router::Router(NodeId id, int radix, const RouterConfig& cfg, PacketTable& packe
 
   port_peer_.fill(id);
   first_local_port_ = radix;  // no local ports until told otherwise
+  wired_in_.reserve(static_cast<std::size_t>(radix));
+  wired_out_.reserve(static_cast<std::size_t>(radix));
 }
 
 void Router::set_routing_engine(const topo::RoutingEngine* engine) {

@@ -1066,7 +1066,8 @@ RunResult Simulator::run(const RunPhases& phases) {
       }
       if (edge.noc_any) {
         // Tick every fired island before any island's phases run, so a CDC
-        // push at this instant never sees the reader's same-instant tick.
+        // push at this instant is timed from the reader's cycle count after
+        // its same-instant edge, never before it.
         {
           PROF_SCOPE("channel_tick");
           for (const int d : clock_.fired()) net_.tick_island(d);

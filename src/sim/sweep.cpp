@@ -236,6 +236,13 @@ std::vector<SweepRecord> SweepRunner::run(const Scenario& base,
   std::vector<RunResult> results(points.size());
 
   const int threads = resolved_threads(points.size());
+  // Points already run in parallel: stepping each one's tiles on more
+  // threads would only oversubscribe the host.
+  if (threads >= 2) {
+    for (SweepPoint& p : points) {
+      if (p.scenario.network.tile_workers == 0) p.scenario.network.tile_workers = 1;
+    }
+  }
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
   std::exception_ptr first_error;

@@ -138,7 +138,8 @@ class SweepRunner {
  public:
   struct Options {
     /// Worker threads; 0 = std::thread::hardware_concurrency(). 1 runs the
-    /// sweep inline on the calling thread.
+    /// sweep inline on the calling thread. With 2 or more, points whose
+    /// `network.tile_workers` is 0 (auto) run with 1 (serial tile steps).
     int threads = 0;
   };
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "sim/scenario.hpp"
+#include "sim/simulator.hpp"
 
 #ifndef NOCDVFS_GOLDEN_DIR
 #error "NOCDVFS_GOLDEN_DIR must be defined by the build (tests/CMakeLists.txt)"
@@ -111,9 +112,12 @@ std::string metrics_line(const std::string& name, const RunResult& r) {
   return os.str();
 }
 
-std::vector<std::string> compute_lines() {
+/// The matrix's lines, every scenario run with `tile_workers` (0 = the
+/// default, auto).
+std::vector<std::string> compute_lines(int tile_workers = 0) {
   std::vector<std::string> lines;
-  for (const Scenario& s : golden_matrix()) {
+  for (Scenario s : golden_matrix()) {
+    s.network.tile_workers = tile_workers;
     lines.push_back(metrics_line(scenario_name(s), run(s)));
   }
   return lines;
@@ -157,6 +161,64 @@ TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
         << "headline metrics diverged from the golden (scenario " << i
         << "). If this PR was meant to be metrics-preserving this is a bug; if the "
            "behaviour change is intentional, regenerate with NOCDVFS_UPDATE_GOLDEN=1.";
+  }
+}
+
+/// Tile-parallel stepping must be metrically invisible: the whole matrix
+/// stepped on 3 workers per island cycle (25 tiles, or 6–7 per quadrant,
+/// split unevenly) reproduces the checked-in golden unchanged.
+TEST(GoldenMetrics, TileParallelMatrixMatchesCheckedInGolden) {
+  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  const std::vector<std::string> fresh = compute_lines(3);
+  ASSERT_EQ(golden.size(), fresh.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(golden[i], fresh[i]) << "tile_workers=3 diverged from the golden (scenario " << i
+                                   << ")";
+  }
+}
+
+/// A saturated 16×16 mesh is where auto mode actually goes parallel: its
+/// headline line and every router's activity counters equal a serial
+/// (tile_workers=1) run, with skip-idle on and off and on quadrant islands.
+TEST(GoldenMetrics, SaturatedMeshAutoWorkersMatchSerial) {
+  struct Case {
+    const char* islands;
+    bool skip_idle;
+  };
+  for (const Case c : {Case{"global", true}, Case{"global", false}, Case{"quadrants", true}}) {
+    Scenario s;
+    s.pattern = "uniform";
+    s.lambda = 0.5;
+    s.network.width = 16;
+    s.network.height = 16;
+    s.islands = c.islands;
+    s.skip_idle = c.skip_idle;
+    s.control_period = 1000;
+    s.phases.warmup_node_cycles = 1000;
+    s.phases.measure_node_cycles = 1000;
+    s.phases.adaptive_warmup = false;
+    Scenario serial_s = s;
+    serial_s.network.tile_workers = 1;
+    const std::string name = std::string(c.islands) + (c.skip_idle ? "-skip" : "-always");
+    const std::unique_ptr<Simulator> par = make_simulator(s);
+    const std::unique_ptr<Simulator> serial = make_simulator(serial_s);
+    const RunResult r_par = par->run(s.phases);
+    const RunResult r_serial = serial->run(s.phases);
+    EXPECT_EQ(metrics_line(name, r_par), metrics_line(name, r_serial));
+    const noc::Network& a = par->network();
+    const noc::Network& b = serial->network();
+    for (int r = 0; r < a.num_routers(); ++r) {
+      const power::ActivityCounters& x = a.router_at(r).activity();
+      const power::ActivityCounters& y = b.router_at(r).activity();
+      ASSERT_TRUE(x.buffer_writes == y.buffer_writes && x.buffer_reads == y.buffer_reads &&
+                  x.crossbar_traversals == y.crossbar_traversals &&
+                  x.vc_alloc_grants == y.vc_alloc_grants &&
+                  x.sw_alloc_grants == y.sw_alloc_grants &&
+                  x.alloc_requests == y.alloc_requests &&
+                  x.link_flit_hops == y.link_flit_hops &&
+                  x.local_flit_hops == y.local_flit_hops)
+          << name << ": router " << r << " activity differs from the serial run";
+    }
   }
 }
 

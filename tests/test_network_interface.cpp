@@ -20,10 +20,7 @@ class NiHarness {
 
   /// One NoC cycle as the Network would run it for the NI.
   void cycle(common::Picoseconds now = 0, std::uint64_t noc_cycle = 0) {
-    inject_flit.tick();
-    inject_credit.tick();
-    eject_flit.tick();
-    eject_credit.tick();
+    ++clock_;
     ni_.receive_phase(now, noc_cycle);
     ni_.inject_phase();
   }
@@ -38,8 +35,9 @@ class NiHarness {
   NiConfig cfg_;
   std::vector<PacketRecord> delivered_;
   PacketTable packets_;
-  FlitChannel inject_flit{1}, eject_flit{1};
-  CreditChannel inject_credit{1}, eject_credit{1};
+  std::uint64_t clock_ = 0;  ///< the NoC clock every channel reads
+  FlitChannel inject_flit{1, &clock_}, eject_flit{1, &clock_};
+  CreditChannel inject_credit{1, &clock_}, eject_credit{1, &clock_};
   NetworkInterface ni_;
 };
 
@@ -157,7 +155,7 @@ TEST(NetworkInterface, EjectionReturnsCreditPerFlit) {
   f.vc = 3;
   h.eject_flit.push(f);
   h.cycle();
-  h.eject_credit.tick();
+  ++h.clock_;
   const auto credit = h.eject_credit.pop();
   ASSERT_TRUE(credit.has_value());
   EXPECT_EQ(credit->vc, 3);
@@ -197,8 +195,9 @@ TEST(NetworkInterface, ConstructionValidation) {
   EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, nullptr, &packets), std::invalid_argument);
   EXPECT_THROW(NetworkInterface(0, NiConfig{4, 4}, &sink, nullptr), std::invalid_argument);
   NetworkInterface ni(0, NiConfig{4, 4}, &sink, &packets);
-  FlitChannel f(1);
-  CreditChannel c(1);
+  std::uint64_t clock = 0;
+  FlitChannel f(1, &clock);
+  CreditChannel c(1, &clock);
   EXPECT_THROW(ni.connect(nullptr, &c, &f, &c), std::invalid_argument);
 }
 
@@ -207,18 +206,17 @@ TEST(NetworkInterface, PacketIdsAreNodeUnique) {
   PacketTable packets;
   NetworkInterface a(1, NiConfig{2, 2}, &sink, &packets);
   NetworkInterface b(2, NiConfig{2, 2}, &sink, &packets);
-  FlitChannel fa(1), fb(1), ea(1), eb(1);
-  CreditChannel ca(1), cb(1), ka(1), kb(1);
+  std::uint64_t clock = 0;
+  FlitChannel fa(1, &clock), fb(1, &clock), ea(1, &clock), eb(1, &clock);
+  CreditChannel ca(1, &clock), cb(1, &clock), ka(1, &clock), kb(1, &clock);
   a.connect(&fa, &ca, &ea, &ka);
   b.connect(&fb, &cb, &eb, &kb);
   a.enqueue_packet(0, 1, 0, 0);
   b.enqueue_packet(0, 1, 0, 0);
-  fa.tick();
-  fb.tick();
+  ++clock;
   a.inject_phase();
   b.inject_phase();
-  fa.tick();
-  fb.tick();
+  ++clock;
   const auto flit_a = fa.pop();
   const auto flit_b = fb.pop();
   ASSERT_TRUE(flit_a && flit_b);

@@ -4,16 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "noc/allocator.hpp"
 #include "noc/arbiter.hpp"
 #include "noc/channel.hpp"
+#include "noc/packet_table.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
+#include "noc/worker_pool.hpp"
 
 namespace nocdvfs::noc {
 namespace {
@@ -337,48 +343,191 @@ TEST(Routing, StringConversions) {
 
 // ------------------------------------------------------------ channel ----
 
+// Channels are tick-free: they read their reader's cycle counter, so each
+// test owns a local counter and advances it where the Network would run an
+// island edge.
+
 TEST(DelayLine, DeliversAfterLatency) {
-  DelayLine<int> ch(2);
+  std::uint64_t now = 0;
+  DelayLine<int> ch(2, &now);
   ch.push(42);
-  ch.tick();
+  ++now;
   EXPECT_FALSE(ch.pop().has_value());
-  ch.tick();
+  ++now;
   const auto v = ch.pop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 42);
 }
 
 TEST(DelayLine, PipelinedBackToBack) {
-  DelayLine<int> ch(3);
-  // One push per cycle; each arrives exactly 3 ticks later.
-  std::vector<int> received;
-  for (int i = 0; i < 10; ++i) {
-    ch.tick();
-    if (auto v = ch.pop()) received.push_back(*v);
-    if (i < 6) ch.push(i);
+  // One push per cycle; each arrives exactly `latency` cycles later — for
+  // rings held inline (latency <= 3) and spilled to the heap (5).
+  for (const int latency : {1, 3, 5}) {
+    std::uint64_t now = 0;
+    DelayLine<int> ch(latency, &now);
+    std::vector<int> received;
+    std::vector<std::uint64_t> arrival;
+    for (int i = 0; i < 20; ++i) {
+      ++now;
+      if (auto v = ch.pop()) {
+        received.push_back(*v);
+        arrival.push_back(now);
+      }
+      if (i < 12) ch.push(i);
+    }
+    ASSERT_EQ(received.size(), 12u) << "latency " << latency;
+    for (std::size_t k = 0; k < received.size(); ++k) {
+      EXPECT_EQ(received[k], static_cast<int>(k)) << "latency " << latency;
+      EXPECT_EQ(arrival[k], k + 1 + static_cast<std::uint64_t>(latency)) << "latency " << latency;
+    }
   }
-  EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(DelayLine, DoublePushSameCycleViolatesInvariant) {
-  DelayLine<int> ch(1);
+  std::uint64_t now = 0;
+  DelayLine<int> ch(1, &now);
   ch.push(1);
   EXPECT_THROW(ch.push(2), common::InvariantViolation);
+  ++now;
+  EXPECT_NO_THROW(ch.push(3)) << "one push per cycle is the link bandwidth";
+}
+
+TEST(DelayLine, OverwritingUndeliveredItemViolatesInvariant) {
+  std::uint64_t now = 0;
+  DelayLine<int> ch(1, &now);
+  ch.push(1);  // due at cycle 1, but the reader never pops it
+  ++now;
+  ch.push(2);
+  ++now;
+  EXPECT_THROW(ch.push(3), common::InvariantViolation);
 }
 
 TEST(DelayLine, InFlightCount) {
-  DelayLine<int> ch(2);
+  std::uint64_t now = 0;
+  DelayLine<int> ch(2, &now);
   EXPECT_EQ(ch.in_flight(), 0u);
   ch.push(5);
   EXPECT_EQ(ch.in_flight(), 1u);
-  ch.tick();
-  ch.tick();
+  now += 2;
   (void)ch.pop();
   EXPECT_EQ(ch.in_flight(), 0u);
 }
 
-TEST(DelayLine, LatencyMustBePositive) {
-  EXPECT_THROW(DelayLine<int>(0), std::invalid_argument);
+TEST(DelayLine, DueItemWaitsForNoTick) {
+  // A reader that skipped cycles (a parked tile) still finds an item
+  // exactly `latency` cycles after its push: the delay is measured on the
+  // reader's clock, not in calls made on the line.
+  std::uint64_t now = 100;
+  DelayLine<int> ch(2, &now);
+  ch.push(7);
+  now = 101;
+  EXPECT_FALSE(ch.pop().has_value());
+  now = 102;
+  EXPECT_EQ(ch.pop(), std::optional<int>(7));
+}
+
+TEST(DelayLine, Validation) {
+  std::uint64_t now = 0;
+  EXPECT_THROW(DelayLine<int>(0, &now), std::invalid_argument);
+  EXPECT_THROW(DelayLine<int>(1, nullptr), std::invalid_argument);
+}
+
+// ------------------------------------------------------- packet table ----
+
+TEST(PacketTable, ConcurrentAcquireReleaseKeepsEveryEntry) {
+  // Four threads churn slots at once, as tile-parallel workers do: each
+  // entry reads back what its acquirer wrote, and the table ends empty.
+  PacketTable table;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &mismatches, t] {
+      std::vector<std::uint32_t> held;
+      for (int i = 0; i < kPerThread; ++i) {
+        const PacketId id = static_cast<PacketId>(t) * kPerThread + static_cast<PacketId>(i);
+        held.push_back(table.acquire(PacketInfo{id, 0, 0, t, 0, 1, 0}));
+        if (held.size() == 40) {  // release in bursts so slots get reused
+          for (const std::uint32_t slot : held) {
+            if (table[slot].src != t) mismatches.fetch_add(1);
+            table.release(slot);
+          }
+          held.clear();
+        }
+      }
+      for (const std::uint32_t slot : held) table.release(slot);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(table.live(), 0u);
+  EXPECT_LE(table.capacity(), static_cast<std::size_t>(kThreads * 40));
+  EXPECT_GE(table.bytes(), table.capacity() * sizeof(PacketInfo));
+}
+
+TEST(PacketTable, SlotsSpanChunksWithStableEntries) {
+  PacketTable table;
+  std::vector<const PacketInfo*> where;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(table.acquire(PacketInfo{i, 0, 0, 0, 0, 1, 0}), i);
+    where.push_back(&table[i]);
+  }
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(&table[i], where[i]) << "entries never move once allocated";
+    EXPECT_EQ(table[i].id, i);
+  }
+  table.release(17);
+  EXPECT_EQ(table.acquire(PacketInfo{5000, 0, 0, 0, 0, 1, 0}), 17u) << "LIFO reuse";
+  EXPECT_EQ(table.capacity(), 1000u);
+}
+
+// -------------------------------------------------------- worker pool ----
+
+TEST(WorkerPool, RunsEachRequestedWorkerOncePerJob) {
+  WorkerPool pool(4);
+  ASSERT_EQ(pool.size(), 4);
+  for (int round = 0; round < 200; ++round) {
+    const int n = 1 + round % 4;
+    std::vector<int> calls(4, 0);
+    auto job = [&calls](int w) { ++calls[static_cast<std::size_t>(w)]; };
+    pool.run(n, job);
+    for (int w = 0; w < 4; ++w) {
+      ASSERT_EQ(calls[static_cast<std::size_t>(w)], w < n ? 1 : 0)
+          << "round " << round << ", worker " << w;
+    }
+  }
+  auto noop = [](int) {};
+  EXPECT_THROW(pool.run(0, noop), std::invalid_argument);
+  EXPECT_THROW(pool.run(5, noop), std::invalid_argument);
+  EXPECT_THROW(WorkerPool(0), std::invalid_argument);
+  EXPECT_THROW(WorkerPool(WorkerPool::kMaxSize + 1), std::invalid_argument);
+}
+
+TEST(WorkerPool, RethrowsTheLowestWorkersExceptionAndStaysUsable) {
+  WorkerPool pool(4);
+  auto failing = [](int w) {
+    if (w >= 2) throw std::runtime_error("worker " + std::to_string(w));
+  };
+  try {
+    pool.run(4, failing);
+    FAIL() << "a helper's exception must reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 2");
+  }
+  auto caller_fails = [](int w) {
+    if (w == 0 || w == 3) throw std::runtime_error("worker " + std::to_string(w));
+  };
+  try {
+    pool.run(4, caller_fails);
+    FAIL() << "the caller's own exception must propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "worker 0");
+  }
+  std::atomic<int> sum{0};
+  auto ok = [&sum](int w) { sum.fetch_add(w + 1); };
+  pool.run(4, ok);
+  EXPECT_EQ(sum.load(), 10) << "no stale error survives into the next job";
 }
 
 }  // namespace

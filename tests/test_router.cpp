@@ -33,14 +33,9 @@ class RouterHarness {
     router_.connect_output(PortDir::East, &out_east, &credit_from_east_sink);
   }
 
-  /// One NoC cycle: channels advance, router receives and computes.
+  /// One NoC cycle: the clock advances, router receives and computes.
   void cycle() {
-    for (FlitChannel* ch : {&in_local, &in_east, &out_local, &out_east}) ch->tick();
-    for (CreditChannel* ch :
-         {&credit_to_local_src, &credit_to_east_src, &credit_from_local_sink,
-          &credit_from_east_sink}) {
-      ch->tick();
-    }
+    ++clock_;
     router_.receive_phase();
     router_.compute_phase();
     router_.check_invariants();
@@ -76,9 +71,11 @@ class RouterHarness {
   std::unique_ptr<topo::Topology> topo_;
   topo::RoutingEngine engine_;
   PacketTable packets_;
-  FlitChannel in_local{1}, in_east{1}, out_local{1}, out_east{1};
-  CreditChannel credit_to_local_src{1}, credit_to_east_src{1};
-  CreditChannel credit_from_local_sink{1}, credit_from_east_sink{1};
+  std::uint64_t clock_ = 0;  ///< the one clock domain every channel reads
+  FlitChannel in_local{1, &clock_}, in_east{1, &clock_}, out_local{1, &clock_},
+      out_east{1, &clock_};
+  CreditChannel credit_to_local_src{1, &clock_}, credit_to_east_src{1, &clock_};
+  CreditChannel credit_from_local_sink{1, &clock_}, credit_from_east_sink{1, &clock_};
 
  private:
   Router router_;
@@ -315,8 +312,9 @@ TEST(Router, ConfigValidation) {
 TEST(Router, WiringValidation) {
   PacketTable packets;
   Router r(0, kMeshPorts, RouterConfig{}, packets);
-  FlitChannel f(1);
-  CreditChannel c(1);
+  std::uint64_t clock = 0;
+  FlitChannel f(1, &clock);
+  CreditChannel c(1, &clock);
   EXPECT_THROW(r.connect_input(PortDir::Local, nullptr, &c), std::invalid_argument);
   EXPECT_THROW(r.connect_output(PortDir::East, &f, nullptr), std::invalid_argument);
   r.connect_input(PortDir::Local, &f, &c);

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <initializer_list>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,8 +50,11 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   router.set_routing_engine(&engine);
   router.set_first_local_port(topo->num_net_ports(0));
 
-  FlitChannel in_local(1), out_east(1), in_east(1), out_local(1);
-  CreditChannel credit_src(1), credit_sink(1), credit_src_e(1), credit_sink_l(1);
+  std::uint64_t clock = 0;  // the channels read it instead of being ticked
+  FlitChannel in_local(1, &clock), out_east(1, &clock), in_east(1, &clock),
+      out_local(1, &clock);
+  CreditChannel credit_src(1, &clock), credit_sink(1, &clock), credit_src_e(1, &clock),
+      credit_sink_l(1, &clock);
   router.connect_input(PortDir::Local, &in_local, &credit_src);
   router.connect_output(PortDir::East, &out_east, &credit_sink);
   router.connect_input(PortDir::East, &in_east, &credit_src_e);
@@ -77,8 +82,7 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
   std::uint64_t packets_done = 0;
 
   for (int cyc = 0; cyc < 20000 && packets_done < kPackets; ++cyc) {
-    for (auto* ch : {&in_local, &out_east, &in_east, &out_local}) ch->tick();
-    for (auto* ch : {&credit_src, &credit_sink, &credit_src_e, &credit_sink_l}) ch->tick();
+    ++clock;
 
     // Upstream: receive returned credits.
     if (auto c = credit_src.pop()) {
@@ -171,26 +175,51 @@ TEST_P(RouterFuzz, CreditLoopConservesAndDeliversInOrder) {
 //   * conservation every cycle: generated == ejected + in-network + backlog;
 //   * no stuck router: everything injected is eventually delivered;
 //   * bit-identity: the skip-idle net's delivery stream matches always-step.
+//
+// The skip-idle net may step its tiles on several workers; the always-step
+// reference is always serial, so the same check also holds tile-parallel
+// stepping to serial.
 
 struct ActivityFuzzParams {
   int width;
   int height;
   int packet_size;  ///< > vc_buffer_depth forces multi-router credit stalls
   std::uint64_t seed;
+  int tile_workers = 1;  ///< of the skip-idle net (NetworkConfig::tile_workers)
 };
+
+/// Every case of `base` once per worker count in `workers`.
+template <typename Params>
+std::vector<Params> with_workers(const std::vector<Params>& base,
+                                 std::initializer_list<int> workers) {
+  std::vector<Params> out;
+  for (const int w : workers) {
+    for (Params p : base) {
+      p.tile_workers = w;
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+std::string workers_suffix(int tile_workers) {
+  return tile_workers == 1 ? "" : "_w" + std::to_string(tile_workers);
+}
 
 class ActivityFuzz : public ::testing::TestWithParam<ActivityFuzzParams> {};
 
 TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
-  const auto [width, height, packet_size, seed] = GetParam();
+  const auto [width, height, packet_size, seed, tile_workers] = GetParam();
   NetworkConfig cfg;
   cfg.width = width;
   cfg.height = height;
   cfg.num_vcs = 2;
   cfg.vc_buffer_depth = 2;  // shallow: credit backpressure everywhere
   cfg.skip_idle = true;
+  cfg.tile_workers = tile_workers;
   NetworkConfig cfg_off = cfg;
   cfg_off.skip_idle = false;
+  cfg_off.tile_workers = 1;
   Network on(cfg);
   Network off(cfg_off);
 
@@ -253,16 +282,20 @@ TEST_P(ActivityFuzz, BurstyOnOffConservesAndMatchesAlwaysStep) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Meshes, ActivityFuzz,
-                         ::testing::Values(ActivityFuzzParams{4, 4, 5, 21},
-                                           ActivityFuzzParams{6, 6, 9, 22},
-                                           ActivityFuzzParams{5, 3, 13, 23}),
-                         [](const ::testing::TestParamInfo<ActivityFuzzParams>& info) {
-                           return std::to_string(info.param.width) + "x" +
-                                  std::to_string(info.param.height) + "_p" +
-                                  std::to_string(info.param.packet_size) + "_s" +
-                                  std::to_string(info.param.seed);
-                         });
+const std::vector<ActivityFuzzParams> kActivityCases = {
+    {4, 4, 5, 21}, {6, 6, 9, 22}, {5, 3, 13, 23}};
+
+std::string activity_case_name(const ::testing::TestParamInfo<ActivityFuzzParams>& info) {
+  return std::to_string(info.param.width) + "x" + std::to_string(info.param.height) + "_p" +
+         std::to_string(info.param.packet_size) + "_s" + std::to_string(info.param.seed) +
+         workers_suffix(info.param.tile_workers);
+}
+
+INSTANTIATE_TEST_SUITE_P(Meshes, ActivityFuzz, ::testing::ValuesIn(kActivityCases),
+                         activity_case_name);
+INSTANTIATE_TEST_SUITE_P(TileParallel, ActivityFuzz,
+                         ::testing::ValuesIn(with_workers(kActivityCases, {2, 3})),
+                         activity_case_name);
 
 // --- topology / fault-reroute fuzz ----------------------------------------
 //
@@ -277,7 +310,10 @@ INSTANTIATE_TEST_SUITE_P(Meshes, ActivityFuzz,
 //     ledger must advance within a bounded window (a routing cycle or a
 //     credit deadlock would stall it forever);
 //   * full drain: after the burst, everything generated is either
-//     delivered or accounted as dropped, and the network empties.
+//     delivered or accounted as dropped, and the network empties;
+//   * serial bit-identity: a serial twin (tile_workers=1) fed the same
+//     packets delivers the same records and drops the same packets — with
+//     several workers, drop drains release table slots from worker threads.
 
 struct TopologyFuzzParams {
   topo::TopologyKind kind;
@@ -288,6 +324,7 @@ struct TopologyFuzzParams {
   int num_vcs;
   const char* faults;  ///< "" = fault-free
   std::uint64_t seed;
+  int tile_workers = 1;
 };
 
 class TopologyFuzz : public ::testing::TestWithParam<TopologyFuzzParams> {};
@@ -304,7 +341,11 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
   cfg.vc_buffer_depth = 2;  // shallow: credit backpressure everywhere
   cfg.faults = p.faults;
   cfg.fault_seed = p.seed;
+  cfg.tile_workers = p.tile_workers;
+  NetworkConfig cfg_serial = cfg;
+  cfg_serial.tile_workers = 1;
   Network net(cfg);
+  Network serial(cfg_serial);
 
   common::Rng rng(p.seed);
   const int n = cfg.num_nodes();
@@ -330,9 +371,11 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
         const auto src = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
         const auto dst = static_cast<NodeId>(rng.uniform_below(static_cast<std::uint64_t>(n)));
         net.ni(src).enqueue_packet(dst, 5, static_cast<common::Picoseconds>(c) * 1000, c);
+        serial.ni(src).enqueue_packet(dst, 5, static_cast<common::Picoseconds>(c) * 1000, c);
       }
     }
     net.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
+    serial.step_island(0, static_cast<common::Picoseconds>(c) * 1000);
     for (int r = 0; r < net.num_routers(); ++r) {
       ASSERT_NO_THROW(net.router_at(r).check_invariants()) << "cycle " << c;
     }
@@ -371,30 +414,41 @@ TEST_P(TopologyFuzz, FaultAwareConservationAndProgress) {
     // The fault fired and the reroute machinery engaged.
     EXPECT_GT(net.failed_links() + net.failed_routers(), 0);
   }
+
+  // Serial bit-identity, packet by packet and drop by drop.
+  EXPECT_EQ(net.total_packets_dropped(), serial.total_packets_dropped());
+  EXPECT_EQ(net.total_flits_dropped(), serial.total_flits_dropped());
+  ASSERT_EQ(net.delivered().size(), serial.delivered().size());
+  for (std::size_t i = 0; i < net.delivered().size(); ++i) {
+    const PacketRecord& pa = net.delivered()[i];
+    const PacketRecord& pb = serial.delivered()[i];
+    ASSERT_EQ(pa.packet_id, pb.packet_id) << "record " << i;
+    ASSERT_EQ(pa.eject_noc_cycle, pb.eject_noc_cycle) << "record " << i;
+    ASSERT_EQ(pa.hops, pb.hops) << "record " << i;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, TopologyFuzz,
-    ::testing::Values(
-        TopologyFuzzParams{topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::XY, 2, "", 31},
-        TopologyFuzzParams{topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Adaptive, 3,
-                           "links:2@1000", 32},
-        TopologyFuzzParams{topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Ugal, 4,
-                           "links:1@500+routers:1@2000", 33},
-        TopologyFuzzParams{topo::TopologyKind::Cmesh, 4, 4, 4, RoutingAlgo::XY, 1,
-                           "routers:1@1500", 34},
-        TopologyFuzzParams{topo::TopologyKind::Cmesh, 6, 4, 2, RoutingAlgo::Adaptive, 2,
-                           "links:2@0", 35},
-        TopologyFuzzParams{topo::TopologyKind::Dragonfly, 4, 3, 1, RoutingAlgo::XY, 2, "",
-                           36},
-        TopologyFuzzParams{topo::TopologyKind::Dragonfly, 6, 4, 2, RoutingAlgo::Ugal, 4,
-                           "links:1@1000", 37},
-        TopologyFuzzParams{topo::TopologyKind::Mesh, 4, 4, 1, RoutingAlgo::Adaptive, 2,
-                           "routers:1@1000", 38}),
-    [](const ::testing::TestParamInfo<TopologyFuzzParams>& info) {
-      return std::string(topo::to_string(info.param.kind)) + "_" +
-             to_string(info.param.routing) + "_s" + std::to_string(info.param.seed);
-    });
+const std::vector<TopologyFuzzParams> kTopologyCases = {
+    {topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::XY, 2, "", 31},
+    {topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Adaptive, 3, "links:2@1000", 32},
+    {topo::TopologyKind::Torus, 4, 4, 1, RoutingAlgo::Ugal, 4, "links:1@500+routers:1@2000",
+     33},
+    {topo::TopologyKind::Cmesh, 4, 4, 4, RoutingAlgo::XY, 1, "routers:1@1500", 34},
+    {topo::TopologyKind::Cmesh, 6, 4, 2, RoutingAlgo::Adaptive, 2, "links:2@0", 35},
+    {topo::TopologyKind::Dragonfly, 4, 3, 1, RoutingAlgo::XY, 2, "", 36},
+    {topo::TopologyKind::Dragonfly, 6, 4, 2, RoutingAlgo::Ugal, 4, "links:1@1000", 37},
+    {topo::TopologyKind::Mesh, 4, 4, 1, RoutingAlgo::Adaptive, 2, "routers:1@1000", 38}};
+
+std::string topology_case_name(const ::testing::TestParamInfo<TopologyFuzzParams>& info) {
+  return std::string(topo::to_string(info.param.kind)) + "_" + to_string(info.param.routing) +
+         "_s" + std::to_string(info.param.seed) + workers_suffix(info.param.tile_workers);
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, TopologyFuzz, ::testing::ValuesIn(kTopologyCases),
+                         topology_case_name);
+INSTANTIATE_TEST_SUITE_P(TileParallel, TopologyFuzz,
+                         ::testing::ValuesIn(with_workers(kTopologyCases, {2, 3})),
+                         topology_case_name);
 
 INSTANTIATE_TEST_SUITE_P(Shapes, RouterFuzz,
                          ::testing::Values(FuzzParams{1, 1, 11}, FuzzParams{2, 2, 12},

@@ -79,40 +79,69 @@ TEST(IslandMap, CustomMapParsesAndValidates) {
 // CdcFifo
 // ---------------------------------------------------------------------------
 
-TEST(CdcFifo, DeliversAfterReadyDelayReaderTicks) {
-  noc::CdcFifo<int> fifo(/*ready_delay=*/3, /*capacity=*/8);
+// The fifo is timed by the reader's cycle counter; each test owns one and
+// advances it where the reader island's edge would fire.
+
+TEST(CdcFifo, DeliversAfterReadyDelayReaderCycles) {
+  std::uint64_t reader = 0;
+  noc::CdcFifo<int> fifo(/*ready_delay=*/3, /*capacity=*/8, &reader);
   fifo.push(42);
-  for (int tick = 1; tick <= 2; ++tick) {
-    fifo.tick();
-    EXPECT_FALSE(fifo.pop().has_value()) << "tick " << tick;
+  for (int cycle = 1; cycle <= 2; ++cycle) {
+    ++reader;
+    EXPECT_FALSE(fifo.pop().has_value()) << "cycle " << cycle;
   }
-  fifo.tick();  // third reader tick: the synchronizer has settled
+  ++reader;  // third reader cycle: the synchronizer has settled
   const auto out = fifo.pop();
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, 42);
   EXPECT_EQ(fifo.in_flight(), 0u);
 }
 
-TEST(CdcFifo, MultiplePushesBetweenTicksKeepFifoOrderOnePopPerTick) {
-  noc::CdcFifo<int> fifo(1, 8);
-  // A fast writer lands three items between two reader ticks.
+TEST(CdcFifo, MultiplePushesBetweenReaderCyclesKeepFifoOrderOnePopPerCycle) {
+  std::uint64_t reader = 0;
+  noc::CdcFifo<int> fifo(1, 8, &reader);
+  // A fast writer lands three items between two reader edges.
   fifo.push(1);
   fifo.push(2);
   fifo.push(3);
   std::vector<int> got;
-  for (int tick = 0; tick < 5; ++tick) {
-    fifo.tick();
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    ++reader;
     auto v = fifo.pop();
     if (v) got.push_back(*v);
-    // Single-flit link bandwidth: a second pop in the same tick is empty.
+    // Single-flit link bandwidth: a second pop in the same cycle is empty.
     EXPECT_FALSE(fifo.pop().has_value());
   }
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(CdcFifo, RingWrapsAtTheCreditBound) {
+  // Fill to capacity, drain, and refill many times: the fixed ring wraps
+  // without losing FIFO order, and one push past the bound is an
+  // invariant failure (the credit loop must prevent it).
+  std::uint64_t reader = 0;
+  noc::CdcFifo<int> fifo(2, 3, &reader);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int k = 0; k < 3; ++k) fifo.push(next_in++);
+    EXPECT_THROW(fifo.push(-1), common::InvariantViolation);
+    EXPECT_EQ(fifo.in_flight(), 3u);
+    while (fifo.in_flight() > 0) {
+      ++reader;
+      if (auto v = fifo.pop()) {
+        EXPECT_EQ(*v, next_out++);
+      }
+    }
+  }
+  EXPECT_EQ(next_out, 15);
+}
+
 TEST(CdcFifo, Validation) {
-  EXPECT_THROW(noc::CdcFifo<int>(0, 8), std::invalid_argument);
-  EXPECT_THROW(noc::CdcFifo<int>(1, 0), std::invalid_argument);
+  std::uint64_t reader = 0;
+  EXPECT_THROW(noc::CdcFifo<int>(0, 8, &reader), std::invalid_argument);
+  EXPECT_THROW(noc::CdcFifo<int>(1, 0, &reader), std::invalid_argument);
+  EXPECT_THROW(noc::CdcFifo<int>(1, 8, nullptr), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
