@@ -16,12 +16,17 @@
 /// policy sweep through a scenario that never touches the hist or topology
 /// keys — its rows must match the hist=off topology=mesh rows bit-for-bit
 /// (CI asserts this: the histogram layer off IS the seed simulator).
+/// A `fig14-seeds` group re-runs topology × policy over 5 seeds and prints
+/// each cell's p50, p99 and p99/p50 as mean [min–max]; the closing
+/// conclusion check calls the policy signature per topology from whether
+/// the two policies' ratio ranges overlap.
 ///
 /// With `telemetry=windows|full telemetry_out=<base>` a dedicated export
 /// run re-runs the mesh/RMSD cell with `hist=on pkt_trace=on` and writes
 /// the timeline (histograms + sampled packet flights) that
 /// `nocdvfs_report percentiles` and the Perfetto exporter render.
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
@@ -69,6 +74,25 @@ sim::SweepAxis hist_axis() {
 
 std::string ratio_fmt(double num, double den) {
   return den > 0.0 ? common::Table::fmt(num / den, 2) : "-";
+}
+
+/// Seeds per (topology, policy) cell of the tail-signature table: one run
+/// is one sample, so the p99/p50 ratio is reported with its spread.
+constexpr int kTailSeeds = 5;
+
+/// "mean [min–max]" of `values`.
+std::string spread_fmt(const std::vector<double>& values, int digits) {
+  if (values.empty()) return "-";
+  double sum = 0.0;
+  double lo = values.front();
+  double hi = values.front();
+  for (const double v : values) {
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return common::Table::fmt(sum / static_cast<double>(values.size()), digits) + " [" +
+         common::Table::fmt(lo, digits) + "-" + common::Table::fmt(hi, digits) + "]";
 }
 
 }  // namespace
@@ -123,9 +147,46 @@ int main(int argc, char** argv) {
                      ratio_fmt(d.p99, d.p50), r.saturated ? "y" : "n"});
     }
   }
-  std::cout << "\n--- tail latency (hist=on rows; quantiles exact to one log2 "
-               "sub-bucket) ---\n";
+  std::cout << "\n--- tail latency (hist=on rows; every quantile within 3.1% of the "
+               "exact order statistic) ---\n";
   table.print(std::cout);
+
+  // --- tail signature across seeds -----------------------------------------
+  // The headline p50/p99 come from the always-on delay histogram, so these
+  // runs need no hist key. Seed is the innermost axis.
+  const sim::Scenario seed_base = anchored_base();
+  const auto seed_recs = h.sweep(
+      seed_base,
+      {topology_axis(topologies), sim::SweepAxis::policies(policies),
+       sim::SweepAxis::seeds(kTailSeeds, seed_base.seed)},
+      "fig14-seeds");
+  common::Table spread({"topology", "policy", "mean ns", "p50 ns", "p99 ns", "p99/p50",
+                        "sat runs"});
+  // ratios[t][p]: per-seed p99/p50, for the conclusion check below.
+  std::vector<std::vector<std::vector<double>>> ratios(
+      topologies.size(), std::vector<std::vector<double>>(policies.size()));
+  for (std::size_t t = 0; t < topologies.size(); ++t) {
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      std::vector<double> mean, p50, p99;
+      int saturated = 0;
+      for (int k = 0; k < kTailSeeds; ++k) {
+        const std::size_t i = (t * policies.size() + p) * kTailSeeds + static_cast<std::size_t>(k);
+        if (i >= seed_recs.size()) continue;
+        const sim::RunResult& r = seed_recs[i].result;
+        mean.push_back(r.avg_delay_ns);
+        p50.push_back(r.p50_delay_ns);
+        p99.push_back(r.p99_delay_ns);
+        if (r.p50_delay_ns > 0.0) ratios[t][p].push_back(r.p99_delay_ns / r.p50_delay_ns);
+        saturated += r.saturated ? 1 : 0;
+      }
+      spread.add_row({topologies[t], sim::to_string(policies[p]), spread_fmt(mean, 1),
+                      spread_fmt(p50, 1), spread_fmt(p99, 1), spread_fmt(ratios[t][p], 2),
+                      std::to_string(saturated) + "/" + std::to_string(mean.size())});
+    }
+  }
+  std::cout << "\n--- tail signature over " << kTailSeeds
+            << " seeds: mean [min-max] ---\n";
+  spread.print(std::cout);
 
   // --- dedicated export run: histograms + sampled packet flights ----------
   if (h.scenario().telemetry != "off" && !h.scenario().telemetry_out.empty()) {
@@ -149,12 +210,22 @@ int main(int argc, char** argv) {
   // to the hist=off topology=mesh rows above, or the off path regressed.
   h.sweep(anchored_base(), {sim::SweepAxis::policies(policies)}, "baseline");
 
-  std::cout << "\nConclusion check: both policies are tuned on *mean* delay, so their\n"
-               "means coincide by construction — the tail is where they differ. RMSD\n"
-               "rides a fixed frequency for a fixed offered load and lets congestion\n"
-               "transients stretch p99; DMSD's sensed delay includes those transients,\n"
-               "so it buys tail headroom (a lower p99/p50) at the cost of actuating\n"
-               "more often. A torus shortens paths but narrows the distribution too —\n"
-               "the ratio, not the absolute p99, is the policy signature.\n";
+  std::cout << "\nConclusion check: RMSD clocks the network for the offered rate and lets\n"
+               "congestion transients stretch p99; DMSD senses delay, transients\n"
+               "included, so its p99/p50 should be lower. Mean delays differ between the\n"
+               "policies as well, so the ratio, not the absolute p99, is the signature.\n"
+               "It holds on a topology only if the per-seed ratio ranges do not overlap:\n";
+  for (std::size_t t = 0; t < topologies.size(); ++t) {
+    const std::vector<double>& rmsd = ratios[t][0];
+    const std::vector<double>& dmsd = ratios[t][1];
+    if (rmsd.empty() || dmsd.empty()) continue;
+    const bool separated =
+        *std::min_element(rmsd.begin(), rmsd.end()) > *std::max_element(dmsd.begin(), dmsd.end());
+    std::cout << "  " << topologies[t] << ": rmsd " << spread_fmt(rmsd, 2) << " vs dmsd "
+              << spread_fmt(dmsd, 2) << " -> "
+              << (separated ? "RMSD's tail is wider on every seed"
+                            : "ranges overlap, no policy signature at this seed count")
+              << "\n";
+  }
   return 0;
 }

@@ -3,28 +3,50 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
 namespace nocdvfs::obs {
 
+namespace {
+
+constexpr int kBits = LatencyHistogram::kSubBucketBits;
+constexpr std::size_t kSub = LatencyHistogram::kSubBuckets;
+
+/// The rank walk both quantile readers share: bucket j of `counts` is
+/// histogram bucket `index_of(j)`, in ascending order.
+template <typename IndexOf>
+std::uint64_t rank_walk(double q, std::uint64_t n, std::uint64_t lo, std::uint64_t hi,
+                        std::span<const std::uint64_t> counts, IndexOf index_of) noexcept {
+  if (n == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))));
+  std::uint64_t cum = 0;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    cum += counts[j];
+    if (cum >= rank) return std::clamp(LatencyHistogram::bucket_hi(index_of(j)), lo, hi);
+  }
+  return hi;
+}
+
+}  // namespace
+
 std::size_t LatencyHistogram::bucket_index(std::uint64_t v) noexcept {
-  if (v < 2) return static_cast<std::size_t>(v);
-  const int k = std::bit_width(v) - 1;  // >= 1
-  const std::size_t sub = v >= (3ULL << (k - 1)) ? 1 : 0;
-  return 2 * static_cast<std::size_t>(k) + sub;
+  if (v < kSub) return static_cast<std::size_t>(v);
+  const int shift = std::bit_width(v) - 1 - kBits;  // k - 5 >= 0
+  return static_cast<std::size_t>(shift + 1) * kSub + static_cast<std::size_t>(v >> shift) - kSub;
 }
 
 std::uint64_t LatencyHistogram::bucket_lo(std::size_t i) noexcept {
-  if (i < 2) return i;
-  const std::size_t k = i / 2;
-  return (i % 2) ? (3ULL << (k - 1)) : (1ULL << k);
+  if (i < kSub) return i;
+  const std::size_t shift = i / kSub - 1;
+  return static_cast<std::uint64_t>(kSub + i % kSub) << shift;
 }
 
 std::uint64_t LatencyHistogram::bucket_hi(std::size_t i) noexcept {
-  if (i < 2) return i;
-  const std::size_t k = i / 2;
-  if (i % 2 == 0) return (3ULL << (k - 1)) - 1;
-  if (k >= 63) return ~0ULL;  // [1.5*2^63, 2^64) saturates
-  return (1ULL << (k + 1)) - 1;
+  if (i < kSub) return i;
+  // The top bucket ends exactly at UINT64_MAX: (2^6 - 1)·2^58 + 2^58 - 1.
+  return bucket_lo(i) + ((std::uint64_t{1} << (i / kSub - 1)) - 1);
 }
 
 void LatencyHistogram::record(std::uint64_t v) noexcept {
@@ -43,17 +65,7 @@ void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
 }
 
 std::uint64_t LatencyHistogram::quantile(double q) const noexcept {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                     std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    cum += counts_[i];
-    if (cum >= rank) return std::clamp(bucket_hi(i), min_, max_);
-  }
-  return max_;
+  return rank_walk(q, count_, min_, max_, counts_, [](std::size_t j) { return j; });
 }
 
 HistogramSnapshot LatencyHistogram::snapshot(std::string label) const {
@@ -71,19 +83,8 @@ HistogramSnapshot LatencyHistogram::snapshot(std::string label) const {
 }
 
 std::uint64_t snapshot_quantile(const HistogramSnapshot& s, double q) noexcept {
-  if (s.count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t rank =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                     std::ceil(q * static_cast<double>(s.count))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < s.bucket_index.size(); ++i) {
-    cum += s.bucket_count[i];
-    if (cum >= rank) {
-      return std::clamp(LatencyHistogram::bucket_hi(s.bucket_index[i]), s.min, s.max);
-    }
-  }
-  return s.max;
+  return rank_walk(q, s.count, s.min, s.max, s.bucket_count,
+                   [&s](std::size_t j) { return std::size_t{s.bucket_index[j]}; });
 }
 
 }  // namespace nocdvfs::obs

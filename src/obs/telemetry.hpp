@@ -180,7 +180,9 @@ struct HostWorkerStats {
 /// metric series, per-island control rows and the event timeline. This is
 /// what the binary format serializes and `nocdvfs_report` renders.
 struct Timeline {
-  static constexpr std::uint32_t kVersion = 3;
+  /// 4: histogram bucket indices are LatencyHistogram's log-linear
+  /// 32-per-octave buckets (3 had two sub-buckets per octave).
+  static constexpr std::uint32_t kVersion = 4;
 
   /// Format version of the file this timeline was read from. Writers
   /// always emit kVersion and the reader accepts no other version.

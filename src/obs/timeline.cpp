@@ -363,6 +363,9 @@ Timeline read_timeline_binary(const std::string& path) {
     snap.bucket_count.reserve(buckets);
     for (std::uint32_t b = 0; b < buckets; ++b) {
       snap.bucket_index.push_back(get<std::uint32_t>(is));
+      if (snap.bucket_index.back() >= LatencyHistogram::kNumBuckets) {
+        throw std::runtime_error("timeline: histogram bucket index out of range");
+      }
       snap.bucket_count.push_back(get<std::uint64_t>(is));
     }
     tl.histograms.push_back(std::move(snap));

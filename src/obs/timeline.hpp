@@ -5,7 +5,7 @@
 /// (`.nocobs`) for large runs and a Chrome trace-event / Perfetto JSON
 /// export for interactive inspection.
 ///
-/// ## Binary format (`.nocobs`, version 3)
+/// ## Binary format (`.nocobs`, version 4)
 ///
 /// All integers little-endian, strings length-prefixed (u32 + bytes):
 ///
@@ -26,6 +26,7 @@
 ///         u32 num_events; per event: u64 t_ps, i32 router, i32 arg, u8 stage
 ///     u32 num_histograms; per histogram: str label, u64 count, min, max,
 ///         u32 num_buckets; per bucket: u32 index, u64 count
+///         (index = obs::LatencyHistogram bucket, ascending)
 ///     u32 num_manifest; per entry: str key, str value
 ///     u32 num_host_phases; per phase (preorder): str name, u32 depth,
 ///         u64 calls, inclusive_ns, exclusive_ns

@@ -118,11 +118,11 @@ struct TelemetryResult {
 };
 
 /// Streaming latency-distribution slice of a run — empty/zero when `hist=`
-/// is off (the default), so the off-path result is bit-identical to a
-/// build without the subsystem. Filled from the fixed-memory log2-bucket
+/// is off (the default); the headline p50/p95/p99 are read from the same
+/// delay histogram either way. Filled from the fixed-memory log-linear
 /// histograms (obs::LatencyHistogram): counts and min/max are exact,
-/// quantiles are within one sub-bucket (≤ 50% relative error) of the true
-/// order statistic of the delivered-packet population.
+/// quantiles are within 1/32 (3.125%) of the true order statistic of the
+/// delivered-packet population.
 struct DelayDistResult {
   /// Percentile summary of one histogram. The unit is whatever the
   /// histogram recorded (ns for delay slices, NoC cycles for latency).
@@ -173,6 +173,8 @@ struct RunResult {
   double avg_delay_ns = 0.0;
   double min_delay_ns = 0.0;
   double max_delay_ns = 0.0;
+  /// From the always-on delay histogram: within 1/32 of the exact order
+  /// statistic (obs::LatencyHistogram::kRelativeError).
   double p50_delay_ns = 0.0;
   double p95_delay_ns = 0.0;
   double p99_delay_ns = 0.0;

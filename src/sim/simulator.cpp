@@ -309,14 +309,13 @@ class Measurement {
       delay_stats_.add(d_ns);
       latency_stats_.add(static_cast<double>(rec.latency_cycles()));
       hops_stats_.add(static_cast<double>(rec.hops));
-      delay_hist_.add(d_ns);
       class_delay_stats_[rec.traffic_class == 0 ? 0 : 1].add(d_ns);
       s.delay_stats.add(d_ns);
+      // Integer picoseconds: timestamps are integer ps, so this is the
+      // exact delay (the double d_ns above is the same quantity scaled).
+      const auto d_ps = static_cast<std::uint64_t>(rec.eject_time_ps - rec.create_time_ps);
+      hist_delay_ps_.record(d_ps);
       if (cfg_.hist) {
-        // Integer picoseconds: timestamps are integer ps, so this is the
-        // exact delay (the double d_ns above is the same quantity scaled).
-        const auto d_ps = static_cast<std::uint64_t>(rec.eject_time_ps - rec.create_time_ps);
-        hist_delay_ps_.record(d_ps);
         hist_latency_cycles_.record(rec.latency_cycles());
         hist_island_delay_[static_cast<std::size_t>(isl)].record(d_ps);
         const std::size_t h = std::min(static_cast<std::size_t>(rec.hops), kMaxHopSlices - 1);
@@ -372,8 +371,8 @@ class Measurement {
   common::RunningStats latency_stats_;
   common::RunningStats hops_stats_;
   common::RunningStats class_delay_stats_[2];
-  common::Histogram delay_hist_{0.0, 8000.0, 2000};
-  obs::LatencyHistogram hist_delay_ps_;  ///< end-to-end delay, integer ps
+  /// End-to-end delay in integer ps, always on: the headline percentiles.
+  obs::LatencyHistogram hist_delay_ps_;
   obs::LatencyHistogram hist_latency_cycles_;
   std::vector<obs::LatencyHistogram> hist_island_delay_;  ///< by destination island
   std::vector<obs::LatencyHistogram> hist_hop_delay_;     ///< by hop count, grown on demand
@@ -406,9 +405,9 @@ void Measurement::finish() {
   r.avg_delay_ns = delay_stats_.mean();
   r.min_delay_ns = delay_stats_.min();
   r.max_delay_ns = delay_stats_.max();
-  r.p50_delay_ns = delay_hist_.quantile(0.50);
-  r.p95_delay_ns = delay_hist_.quantile(0.95);
-  r.p99_delay_ns = delay_hist_.quantile(0.99);
+  r.p50_delay_ns = static_cast<double>(hist_delay_ps_.quantile(0.50)) * 1e-3;
+  r.p95_delay_ns = static_cast<double>(hist_delay_ps_.quantile(0.95)) * 1e-3;
+  r.p99_delay_ns = static_cast<double>(hist_delay_ps_.quantile(0.99)) * 1e-3;
   r.avg_latency_cycles = latency_stats_.mean();
   r.avg_hops = hops_stats_.mean();
   r.max_hops = hops_stats_.count() > 0 ? static_cast<std::uint64_t>(hops_stats_.max()) : 0;
@@ -952,9 +951,10 @@ void host_epilogue(const SimulatorConfig& cfg, const noc::Network& net,
     }
     mem.add("timeline", tl.series.size(), tl_bytes);
     mem.add("flight_recorder", tl.flights.size(), flight_bytes);
-    const DelayDistResult& dd = result.delay_dist;  // one result slice per histogram
+    // The delay histogram is always on; hist=on adds one per further slice.
+    const DelayDistResult& dd = result.delay_dist;
     const std::size_t hists =
-        dd.enabled ? 2 + dd.island_delay_ns.size() + dd.hop_delay_ns.size() : 0;
+        1 + (dd.enabled ? 1 + dd.island_delay_ns.size() + dd.hop_delay_ns.size() : 0);
     mem.add("histogram_pool", hists, hists * sizeof(obs::LatencyHistogram));
     std::uint64_t trace_points = result.vf_trace.size();
     for (const IslandResult& isl : result.islands) trace_points += isl.vf_trace.size();

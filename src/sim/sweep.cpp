@@ -13,6 +13,7 @@
 
 #include "common/log.hpp"
 #include "common/table.hpp"
+#include "obs/latency_hist.hpp"
 #include "obs/timeline.hpp"
 #include "vfi/residency.hpp"
 
@@ -541,6 +542,7 @@ void JsonlResultSink::on_result(const SweepRecord& record) {
      << ",\"min_delay_ns\":" << r.min_delay_ns
      << ",\"max_delay_ns\":" << r.max_delay_ns
      << ",\"p99_delay_ns\":" << r.p99_delay_ns
+     << ",\"quantile_rel_err\":" << obs::LatencyHistogram::kRelativeError
      << ",\"avg_latency_cycles\":" << r.avg_latency_cycles
      << ",\"avg_frequency_ghz\":" << r.avg_frequency_ghz()
      << ",\"avg_voltage\":" << r.avg_voltage << ",\"power_mw\":" << r.power_mw()

@@ -227,6 +227,11 @@ TEST(TimelineBinary, RejectsTruncatedAndForeignFiles) {
   EXPECT_THROW(obs::read_timeline_binary(path), std::runtime_error);
   EXPECT_THROW(obs::read_timeline_binary(temp_base("missing") + ".nocobs"),
                std::runtime_error);
+  // A histogram bucket the reader's LatencyHistogram does not have.
+  obs::Timeline bad = synthetic_timeline();
+  bad.histograms[0].bucket_index.back() = obs::LatencyHistogram::kNumBuckets;
+  obs::write_timeline_binary(bad, path);
+  EXPECT_THROW(obs::read_timeline_binary(path), std::runtime_error);
   fs::remove(path);
 }
 

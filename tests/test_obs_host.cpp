@@ -309,7 +309,7 @@ TEST(HostResult, ProfOffLeavesProfileEmptyButManifestPresent) {
 }
 
 // ---------------------------------------------------------------------------
-// .nocobs v3 round-trip, version check & cross-tool magic diagnostics
+// .nocobs host-section round-trip, version check & cross-tool magic diagnostics
 // ---------------------------------------------------------------------------
 
 Timeline host_only_timeline() {
@@ -371,9 +371,12 @@ TEST(TimelineV3, ExportedRunCarriesManifestAndPhases) {
 }
 
 TEST(TimelineV3, OtherVersionsAreRejectedNamingFoundAndSupported) {
+  // v3 files carry bucket indices of the old two-per-octave histogram, so
+  // they must be refused rather than read with the wrong bucket bounds.
+  ASSERT_EQ(Timeline::kVersion, 4u);
   const std::string path = tmp_path("nocdvfs_test_old_version.nocobs");
   obs::write_timeline_binary(host_only_timeline(), path);
-  for (const std::uint32_t version : {1u, 2u, Timeline::kVersion + 1}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, Timeline::kVersion + 1}) {
     {
       // The u32 version follows the 4-byte magic, little-endian.
       std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);

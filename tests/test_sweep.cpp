@@ -160,6 +160,8 @@ TEST(SweepSinks, JsonlCarriesTrajectories) {
   EXPECT_NE(out.find("\"policy\":\"rmsd\""), std::string::npos);
   EXPECT_NE(out.find("\"window_trace\":["), std::string::npos);
   EXPECT_NE(out.find("\"vf_trace\":["), std::string::npos);
+  // The percentile resolution rides next to the percentile.
+  EXPECT_NE(out.find(",\"quantile_rel_err\":0.03125,"), std::string::npos);
   // One JSON object per line.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1);
 }

@@ -224,8 +224,9 @@ int cmd_percentiles(const Timeline& tl) {
                  "hist=on telemetry=windows|full telemetry_out=<base>)\n";
     return 1;
   }
-  std::cout << "latency percentiles (streaming log2 sub-bucket histograms; each "
-               "quantile is exact\nto within one bucket width):\n"
+  std::cout << "latency percentiles (streaming log-linear histograms, 32 buckets per "
+               "octave; each quantile\nis within <= 3.1% (1/32) of the exact order "
+               "statistic, and exact below 32):\n"
             << std::left << std::setw(22) << "scope" << std::setw(8) << "unit"
             << std::right << std::setw(10) << "count" << std::setw(11) << "min"
             << std::setw(11) << "p50" << std::setw(11) << "p90" << std::setw(11)
