@@ -99,6 +99,15 @@ std::int64_t Config::get_int(const std::string& key) const {
   return out;
 }
 
+std::uint64_t Config::get_uint(const std::string& key) const {
+  const std::int64_t v = get_int(key);
+  if (v < 0) {
+    throw std::invalid_argument("Config: key '" + key + "' value '" + entry(key).value +
+                                "' must be >= 0");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 double Config::get_double(const std::string& key) const {
   const std::string& v = entry(key).value;
   try {

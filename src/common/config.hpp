@@ -42,6 +42,9 @@ class Config {
 
   std::string get_string(const std::string& key) const;
   std::int64_t get_int(const std::string& key) const;
+  /// get_int for counts, periods and seeds: throws std::invalid_argument,
+  /// naming the key, on a negative value instead of letting it wrap.
+  std::uint64_t get_uint(const std::string& key) const;
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 

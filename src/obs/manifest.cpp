@@ -65,10 +65,10 @@ void fill_build_info(RunManifest& m) {
 
 namespace {
 
-/// The same yardstick perf_baseline records: xorshift64 steps per
-/// microsecond over ~0.2 s. Pure integer ALU + registers — stable across
-/// runs and roughly proportional to single-core speed, which is what the
-/// simulator is bound by.
+/// The host yardstick: xorshift64 steps per microsecond over ~0.2 s.
+/// Pure integer ALU + registers — stable across runs and roughly
+/// proportional to single-core speed, which is what the simulator is
+/// bound by.
 double measure_calib_mops() {
   volatile std::uint64_t sink = 0;
   std::uint64_t x = 88172645463325252ull;

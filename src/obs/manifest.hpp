@@ -41,8 +41,8 @@ struct RunManifest {
 /// outside a git checkout).
 void fill_build_info(RunManifest& m);
 
-/// Host speed calibration: single-thread xorshift64 Mop/s, the same
-/// spin perf_baseline uses to contextualize timings across machines.
+/// Host speed calibration: single-thread xorshift64 Mop/s, recorded as
+/// `host.calib_mops` so timings can be put in context across machines.
 /// The ~0.2 s measurement runs once per process on first call and is
 /// cached — call it lazily (profiled runs only) so it never pollutes a
 /// timed region.

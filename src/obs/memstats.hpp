@@ -2,8 +2,9 @@
 
 /// \file memstats.hpp
 /// Host memory accounting: process peak-RSS sampling plus a byte/object
-/// breakdown of the big in-simulator owners (flits in flight, telemetry
-/// timelines, histogram pools, trace buffers).
+/// breakdown of the big in-simulator owners (router buffers, source
+/// queues, the packet table, telemetry timelines, the flight recorder,
+/// histogram pools, VF and window traces).
 ///
 /// Everything here is *host-side only* and computed on demand — there are
 /// no hot-path counters, so `mem=off` and `mem=on` runs are bit-identical

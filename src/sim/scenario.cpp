@@ -293,8 +293,9 @@ std::string topo_problem(const Scenario& s) {
 }
 
 std::string telemetry_problem(const Scenario& s) {
+  obs::TelemetryMode telemetry = obs::TelemetryMode::Off;
   try {
-    obs::telemetry_mode_from_string(s.telemetry);
+    telemetry = obs::telemetry_mode_from_string(s.telemetry);
   } catch (const std::exception& e) {
     return e.what();
   }
@@ -304,7 +305,7 @@ std::string telemetry_problem(const Scenario& s) {
   if (s.pkt_trace != "on" && s.pkt_trace != "off") {
     return "pkt_trace= must be on or off (got pkt_trace=" + s.pkt_trace + ")";
   }
-  if (s.pkt_trace == "on" && s.telemetry == "off") {
+  if (s.pkt_trace == "on" && telemetry == obs::TelemetryMode::Off) {
     return "pkt_trace=on needs telemetry=windows or telemetry=full (the sampled "
            "flights are exported with the telemetry timeline)";
   }
@@ -503,7 +504,7 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.telemetry_out = c.get_string("telemetry_out");
   s.hist = c.get_string("hist");
   s.pkt_trace = c.get_string("pkt_trace");
-  s.pkt_trace_rate = static_cast<std::uint64_t>(c.get_int("pkt_trace_rate"));
+  s.pkt_trace_rate = c.get_uint("pkt_trace_rate");
   s.prof = c.get_string("prof");
   s.mem = c.get_string("mem");
 
@@ -527,7 +528,7 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.network.routing = noc::routing_algo_from_string(c.get_string("routing"));
   s.network.concentration = static_cast<int>(c.get_int("concentration"));
   s.network.faults = c.get_string("faults");
-  s.network.fault_seed = static_cast<std::uint64_t>(c.get_int("fault_seed"));
+  s.network.fault_seed = c.get_uint("fault_seed");
   s.network.num_vcs = static_cast<int>(c.get_int("vcs"));
   s.network.vc_buffer_depth = static_cast<int>(c.get_int("bufs"));
   s.network.link_latency = static_cast<int>(c.get_int("link_latency"));
@@ -541,17 +542,17 @@ Scenario Scenario::from_config(const common::Config& c) {
   s.policy.kp = c.get_double("kp");
   s.policy.occupancy_setpoint = c.get_double("occupancy_setpoint");
 
-  s.control_period = static_cast<std::uint64_t>(c.get_int("control_period"));
+  s.control_period = c.get_uint("control_period");
   s.f_node = c.get_double("f_node");
   s.vf_levels = static_cast<int>(c.get_int("vf_levels"));
   s.flit_bits = static_cast<int>(c.get_int("flit_bits"));
-  s.seed = static_cast<std::uint64_t>(c.get_int("seed"));
-  s.vf_trace_max = static_cast<std::uint64_t>(c.get_int("vf_trace_max"));
+  s.seed = c.get_uint("seed");
+  s.vf_trace_max = c.get_uint("vf_trace_max");
 
-  s.phases.warmup_node_cycles = static_cast<std::uint64_t>(c.get_int("warmup"));
-  s.phases.measure_node_cycles = static_cast<std::uint64_t>(c.get_int("measure"));
+  s.phases.warmup_node_cycles = c.get_uint("warmup");
+  s.phases.measure_node_cycles = c.get_uint("measure");
   s.phases.adaptive_warmup = c.get_bool("adaptive_warmup");
-  s.phases.max_warmup_node_cycles = static_cast<std::uint64_t>(c.get_int("max_warmup"));
+  s.phases.max_warmup_node_cycles = c.get_uint("max_warmup");
   return s;
 }
 

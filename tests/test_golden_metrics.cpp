@@ -14,15 +14,25 @@
 // Regeneration is only legitimate when the *simulated behaviour* is meant
 // to change (new subsystem defaults, a physics fix); a perf-only PR that
 // needs it has a correctness bug.
+//
+// The same command rewrites tests/golden/work_counts.txt, the work-count
+// golden: exact work counters (island edges, tile steps, allocator and
+// crossbar activity, flit hops, packets) of short versions of the
+// nocbench workloads. They are host-independent, so a skip-idle, wake or
+// allocator regression that leaves the headline metrics alone still fails
+// here on any machine. Wall time is nocbench's job, not this file's.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "noc/network.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 
@@ -34,6 +44,7 @@ namespace nocdvfs::sim {
 namespace {
 
 constexpr const char* kGoldenPath = NOCDVFS_GOLDEN_DIR "/golden_metrics.txt";
+constexpr const char* kWorkCountsPath = NOCDVFS_GOLDEN_DIR "/work_counts.txt";
 
 /// The fixed-seed scenario matrix. Short fixed phases (no adaptive warmup)
 /// keep the whole matrix a few seconds while still exercising every
@@ -138,30 +149,33 @@ bool update_mode() {
   return v != nullptr && std::string(v) != "0";
 }
 
-TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
-  const std::vector<std::string> fresh = compute_lines();
-
+/// Compares `fresh` line by line with the golden file at `path`, or
+/// rewrites the file with `fresh` under NOCDVFS_UPDATE_GOLDEN=1.
+void expect_matches_golden(const char* path, const std::vector<std::string>& fresh) {
   if (update_mode()) {
-    std::ofstream out(kGoldenPath);
-    ASSERT_TRUE(out) << "cannot write golden file " << kGoldenPath;
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write golden file " << path;
     for (const std::string& line : fresh) out << line << '\n';
-    std::cout << "[golden] wrote " << fresh.size() << " scenario lines to " << kGoldenPath
-              << "\n";
+    std::cout << "[golden] wrote " << fresh.size() << " scenario lines to " << path << "\n";
     return;
   }
 
-  const std::vector<std::string> golden = read_lines(kGoldenPath);
+  const std::vector<std::string> golden = read_lines(path);
   ASSERT_FALSE(golden.empty())
-      << "golden file missing or empty: " << kGoldenPath
+      << "golden file missing or empty: " << path
       << "\nregenerate with: NOCDVFS_UPDATE_GOLDEN=1 ./build/tests/test_golden_metrics";
   ASSERT_EQ(golden.size(), fresh.size()) << "scenario matrix size changed; regenerate the "
                                             "golden if the change is intentional";
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     EXPECT_EQ(golden[i], fresh[i])
-        << "headline metrics diverged from the golden (scenario " << i
+        << path << " diverged (scenario " << i
         << "). If this PR was meant to be metrics-preserving this is a bug; if the "
            "behaviour change is intentional, regenerate with NOCDVFS_UPDATE_GOLDEN=1.";
   }
+}
+
+TEST(GoldenMetrics, MatrixMatchesCheckedInGolden) {
+  expect_matches_golden(kGoldenPath, compute_lines());
 }
 
 /// Tile-parallel stepping must be metrically invisible: the whole matrix
@@ -261,6 +275,130 @@ TEST(GoldenMetrics, ProfilingIsBitIdentical) {
     EXPECT_EQ(metrics_line(name, r_on), metrics_line(name, run(off)))
         << "prof=on mem=on changed headline metrics for " << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Work-count golden
+// ---------------------------------------------------------------------------
+
+/// Exact work counters of one run, read through Network's public
+/// accessors (the ones nocbench's read_counts uses).
+struct WorkCounts {
+  std::uint64_t noc_edges = 0;   ///< Σ island cycles
+  std::uint64_t tile_slots = 0;  ///< Σ island cycles × island tiles
+  std::uint64_t tile_steps_skipped = 0;
+  power::ActivityCounters activity;
+  std::uint64_t packets_generated = 0;
+};
+
+std::string work_line(const std::string& name, const WorkCounts& c) {
+  std::ostringstream os;
+  os << name << " noc_edges=" << c.noc_edges << " tile_slots=" << c.tile_slots
+     << " tile_steps_skipped=" << c.tile_steps_skipped
+     << " crossbar_traversals=" << c.activity.crossbar_traversals
+     << " alloc_requests=" << c.activity.alloc_requests
+     << " link_flit_hops=" << c.activity.link_flit_hops
+     << " local_flit_hops=" << c.activity.local_flit_hops
+     << " packets_generated=" << c.packets_generated;
+  return os.str();
+}
+
+WorkCounts run_counts(const Scenario& s) {
+  const std::unique_ptr<Simulator> simulator = make_simulator(s);
+  simulator->run(s.phases);
+  const noc::Network& net = simulator->network();
+  WorkCounts c;
+  for (int i = 0; i < net.num_islands(); ++i) {
+    c.noc_edges += net.island_cycles(i);
+    c.tile_slots += net.island_cycles(i) * net.island_tiles(i).size();
+  }
+  c.tile_steps_skipped = net.idle_steps_skipped();
+  c.activity = net.total_activity();
+  c.packets_generated = net.total_packets_generated();
+  return c;
+}
+
+RunPhases fixed_phases(std::uint64_t warmup, std::uint64_t measure) {
+  RunPhases p;
+  p.warmup_node_cycles = warmup;
+  p.measure_node_cycles = measure;
+  p.adaptive_warmup = false;
+  return p;
+}
+
+/// Short versions of the four nocbench workloads (same meshes, loads,
+/// policies and island layouts; fewer cycles), open-loop uniform Bernoulli
+/// traffic as there.
+std::vector<std::pair<std::string, Scenario>> work_scenarios() {
+  Scenario base;
+  base.pattern = "uniform";
+  base.process = "bernoulli";
+  base.seed = 1;
+
+  Scenario sat = base;
+  sat.network.width = sat.network.height = 16;
+  sat.lambda = 0.5;
+  sat.control_period = 500;
+  sat.phases = fixed_phases(500, 1000);
+
+  Scenario sparse = base;
+  sparse.network.width = sparse.network.height = 32;
+  sparse.lambda = 0.002;
+  sparse.policy.policy = Policy::Dmsd;
+  sparse.control_period = 2000;
+  sparse.phases = fixed_phases(2000, 4000);
+
+  Scenario vfi = base;
+  vfi.network.width = vfi.network.height = 8;
+  vfi.islands = "per_router";
+  vfi.thermal = true;
+  vfi.lambda = 0.1;
+  vfi.policy.policy = Policy::Dmsd;
+  vfi.control_period = 2000;
+  vfi.phases = fixed_phases(2000, 4000);
+
+  // One point of the paper_sweep5 λ × policy grid, adaptive warmup on.
+  Scenario paper = base;
+  paper.lambda = 0.15;
+  paper.policy.policy = Policy::Dmsd;
+  paper.control_period = 2000;
+  paper.phases.warmup_node_cycles = 4000;
+  paper.phases.measure_node_cycles = 4000;
+  paper.phases.max_warmup_node_cycles = 20000;
+  paper.phases.adaptive_warmup = true;
+
+  return {{"sat_mesh16", sat},
+          {"sparse_mesh32", sparse},
+          {"vfi_per_router8", vfi},
+          {"paper_sweep5", paper}};
+}
+
+TEST(WorkCounts, MatchCheckedInGolden) {
+  std::vector<std::string> lines;
+  WorkCounts sparse;
+  Scenario sparse_s;
+  for (const auto& [name, s] : work_scenarios()) {
+    const WorkCounts c = run_counts(s);
+    lines.push_back(work_line(name, c));
+    if (name == "sparse_mesh32") {
+      sparse = c;
+      sparse_s = s;
+    }
+  }
+  EXPECT_GT(sparse.tile_steps_skipped, 0u) << "the sparse run elided no tile steps";
+
+  // The always-step twin does exactly the skip-idle run's work: every count
+  // is equal except the skipped tile steps, which are 0.
+  sparse_s.skip_idle = false;
+  const WorkCounts always = run_counts(sparse_s);
+  lines.push_back(work_line("sparse_mesh32_alwaysstep", always));
+  EXPECT_EQ(always.tile_steps_skipped, 0u);
+  WorkCounts expected = sparse;
+  expected.tile_steps_skipped = 0;
+  EXPECT_EQ(work_line("twin", always), work_line("twin", expected))
+      << "always-step did different work from skip-idle";
+
+  expect_matches_golden(kWorkCountsPath, lines);
 }
 
 }  // namespace

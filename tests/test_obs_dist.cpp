@@ -505,6 +505,8 @@ TEST(DelayDistScenario, ValidatesKeys) {
   // pkt_trace needs the telemetry pipeline (that's where flights go).
   s.pkt_trace = "on";
   EXPECT_FALSE(sim::scenario_problem(s).empty());
+  s.telemetry = "OFF";  // mode names are case-insensitive
+  EXPECT_FALSE(sim::scenario_problem(s).empty());
   s.telemetry = "windows";
   EXPECT_TRUE(sim::scenario_problem(s).empty());
   s.pkt_trace_rate = 0;

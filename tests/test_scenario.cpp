@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,24 @@ TEST(ScenarioConfig, UnknownWorkloadRejected) {
   Scenario::declare_keys(c);
   c.set("workload", "magic");
   EXPECT_THROW(Scenario::from_config(c), std::invalid_argument);
+}
+
+TEST(ScenarioConfig, NegativeUnsignedKeysRejected) {
+  for (const char* key : {"measure", "warmup", "max_warmup", "control_period", "seed",
+                          "fault_seed", "pkt_trace_rate", "vf_trace_max"}) {
+    common::Config c;
+    Scenario::declare_keys(c);
+    c.set(key, "-1");
+    try {
+      Scenario::from_config(c);
+      ADD_FAILURE() << key << "=-1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"), std::string::npos)
+          << e.what();
+    }
+    c.set(key, "0");
+    EXPECT_NO_THROW(Scenario::from_config(c)) << key;
+  }
 }
 
 TEST(ScenarioRun, RerunIsBitIdentical) {
